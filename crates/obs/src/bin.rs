@@ -140,8 +140,8 @@ mod tag {
     pub const UPGRADE_STEP: u8 = 12;
 }
 
-/// High bit of the reselect trigger byte: set when the decision was
-/// served from the selection cache. Trigger codes stay below 0x80, so
+/// High bit of the reselect trigger byte: set when the revision
+/// fingerprint kept the previous decision. Trigger codes stay below 0x80, so
 /// schema version 1 streams written before the cache existed decode
 /// unchanged (bit clear ⇒ `cache_hit = false`).
 const TRIGGER_CACHE_HIT: u8 = 0x80;

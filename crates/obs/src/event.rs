@@ -155,11 +155,11 @@ pub enum Event {
         /// Wall-clock duration of the selection + scheduling pass, in
         /// nanoseconds (host time, not simulated cycles).
         duration_ns: u64,
-        /// Whether the decision was served from the selection cache
-        /// (revision fingerprint or memo tier) instead of running the
-        /// selection kernel. Cached decisions are bit-identical to a
-        /// from-scratch recompute; this marker only records that the work
-        /// was skipped.
+        /// Whether the forecast revision and capacity were unchanged since
+        /// the previous re-selection, so the selection kernel was skipped
+        /// and the previous decision kept. A kept decision is bit-identical
+        /// to a from-scratch recompute; this marker only records that the
+        /// work was skipped.
         cache_hit: bool,
     },
     /// The rotation scheduler staged one step of an SI's upgrade path

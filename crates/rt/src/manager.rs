@@ -24,6 +24,8 @@
 //! Molecule — so execution upgrades gradually while rotations complete,
 //! exactly the T4/T5 steps of the paper's Fig. 6 scenario.
 
+use std::sync::Arc;
+
 use rispp_core::error::CoreError;
 use rispp_core::forecast::ForecastValue;
 use rispp_core::si::{SiId, SiLibrary};
@@ -34,7 +36,7 @@ use crate::command::{self, Command};
 use crate::forecast::ForecastStore;
 use crate::policy::{LruSurplusPolicy, ReplacementPolicy};
 use crate::rotation::{BackoffGovernor, RotationPlan, RotationSchedulePolicy};
-use crate::selection::{CacheInvalidation, CacheLookup, SelectionPolicy, SelectionStage};
+use crate::selection::{SelectionPolicy, SelectionStage};
 use crate::stats::StatsLedger;
 
 pub use crate::rotation::{RetryPolicy, RotationStrategy};
@@ -165,18 +167,17 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 match *event {
                     FabricEvent::RotationFailed { kind, at, .. } => {
                         self.backoff.note_failure(kind, at, self.fabric.clock());
-                        self.selector.invalidate(CacheInvalidation::Fault);
+                        self.selector.invalidate();
                         need_reselect = true;
                     }
                     FabricEvent::RotationCompleted { kind, .. } => {
                         // A success wipes the kind's failure history.
                         self.backoff.note_success(kind);
-                        self.selector
-                            .invalidate(CacheInvalidation::RotationCompleted);
+                        self.selector.invalidate();
                     }
                     FabricEvent::ContainerQuarantined { .. }
                     | FabricEvent::ContainerFaulted { .. } => {
-                        self.selector.invalidate(CacheInvalidation::Fault);
+                        self.selector.invalidate();
                         need_reselect = true;
                     }
                     _ => {}
@@ -343,27 +344,20 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
         // under the full container count would chase an unreachable
         // target forever.
         let capacity = self.fabric.usable_containers() as u32;
-        let lookup = self.selector.reselect_cached(
-            &self.lib,
-            self.fabric.catalog(),
-            &self.forecasts,
-            capacity,
-        );
-        let cache_hit = matches!(lookup, CacheLookup::Hit(_));
-        let plan = match lookup {
-            CacheLookup::Hit(plan) => plan,
-            CacheLookup::Miss => {
-                // Only a fresh decision pays for rotation scheduling; a
-                // cached one re-applies its memoised plan below.
-                let _sched = self.prof.scope(phase::ROTATION_SCHEDULE);
-                let plan = self.scheduler.plan(
-                    &self.lib,
-                    self.selector.selection(),
-                    self.selector.last_weights(),
-                );
-                self.selector.store_plan(plan)
-            }
-        };
+        let cache_hit =
+            self.selector
+                .reselect(&self.lib, self.fabric.catalog(), &self.forecasts, capacity);
+        if !cache_hit {
+            // Only a fresh decision pays for rotation scheduling; a
+            // fingerprint hit re-applies the stored plan below.
+            let _sched = self.prof.scope(phase::ROTATION_SCHEDULE);
+            let plan = self.scheduler.plan(
+                &self.lib,
+                self.selector.selection(),
+                self.selector.last_weights(),
+            );
+            self.selector.store_plan(plan);
+        }
         // Applying the plan is provably a no-op when no rotation is queued
         // (cancelling would refund nothing) and the committed fabric
         // already covers the target: every upgrade stage ≤ its SI's wanted
@@ -378,6 +372,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 .target
                 .le(&self.fabric.committed_molecule());
         if !satisfied {
+            let plan = Arc::clone(self.selector.last_plan());
             self.apply_plan(&plan);
         }
         let measured = scope.stop();

@@ -188,7 +188,9 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
         self
     }
 
-    /// Enables or disables the incremental selection cache (default: on).
+    /// Enables or disables the selection fingerprint (default: on): a
+    /// re-selection whose forecast revision and capacity are unchanged
+    /// since the previous one keeps the previous decision.
     ///
     /// Disabled, every re-selection runs the full weighing + selection +
     /// scheduling kernel from scratch — the oracle configuration the

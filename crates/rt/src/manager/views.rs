@@ -76,8 +76,8 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
         self.selector.reselects()
     }
 
-    /// `(hits, misses, invalidations)` of the incremental selection
-    /// cache. All zeros when the cache is disabled via
+    /// `(hits, misses, invalidations)` of the selection fingerprint. Hits
+    /// and invalidations are zero when it is disabled via
     /// [`ManagerBuilder::selection_cache`](super::ManagerBuilder::selection_cache).
     #[must_use]
     pub fn selection_cache_stats(&self) -> (u64, u64, u64) {

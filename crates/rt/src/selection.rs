@@ -16,7 +16,6 @@
 //! Nothing in this module touches the fabric or emits events: given the
 //! same inputs, every function returns the same outputs.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use rispp_core::selection::{
@@ -238,92 +237,37 @@ pub fn weigh_demands_into(
     );
 }
 
-/// Why the selection memo cache was flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheInvalidation {
-    /// A rotation completed: the committed fabric state moved, so any
-    /// memoised "plan already satisfied" judgement may be stale.
-    RotationCompleted,
-    /// A rotation failed, or a container was quarantined or faulted.
-    Fault,
-    /// The SI library or Atom catalog changed under the stage.
-    SiTableChanged,
-    /// The adaptation goal was switched.
-    PowerMode,
-}
-
-/// Outcome of a cached re-selection ([`SelectionStage::reselect_cached`]).
-#[derive(Debug)]
-pub enum CacheLookup {
-    /// The decision was served from cache: the stage's selection and
-    /// weights already hold the memoised result, and the returned plan is
-    /// the one computed when the entry was first stored. The caller must
-    /// still apply it (unless provably a no-op) so rotation sequence
-    /// numbers stay byte-identical to the from-scratch kernel.
-    Hit(Arc<RotationPlan>),
-    /// A fresh selection was computed; the caller must plan rotations and
-    /// hand the plan back via [`SelectionStage::store_plan`].
-    Miss,
-}
-
-/// A memoised selection decision: everything downstream of weighing.
-#[derive(Debug, Clone)]
-struct CachedDecision {
-    selection: MoleculeSelection,
-    weights: DemandWeights,
-    plan: Arc<RotationPlan>,
-}
-
-/// The selection stage: policy + adaptation goal + the last selection,
-/// plus the incremental kernel's two cache tiers:
+/// The selection stage: policy + adaptation goal + the last selection and
+/// its rotation plan, plus a **revision fingerprint** `(forecast revision,
+/// capacity)` of the last re-selection. When the fingerprint is unchanged,
+/// no input of the decision moved, so the previous selection, weights and
+/// plan are reused without re-weighing.
 ///
-/// * a **revision fingerprint** `(forecast revision, capacity, mode
-///   epoch)` — when unchanged since the last reselect, nothing observable
-///   moved and even re-weighing is skipped;
-/// * a **decision memo** keyed by the exact bits of `(capacity, mode
-///   epoch, weighted demands)` — a forecast delta that lands back on a
-///   previously weighed state (retract-then-restore, oscillating FCs)
-///   reuses the full decision including its rotation plan.
-///
-/// Both tiers are *provably* decision-identical: the memo key includes
-/// every input of the selection policy (weights carry owners, the epoch
-/// separates power modes), so a hit replays exactly what the from-scratch
-/// kernel would recompute. Invalidation therefore only ever costs speed,
-/// never correctness.
+/// The fingerprint is *provably* decision-identical: every input of the
+/// selection that it does not cover — the committed fabric, failed or
+/// dead containers, the power mode — drops it through
+/// [`invalidate`](SelectionStage::invalidate). Invalidation therefore only
+/// ever costs speed, never correctness.
 #[derive(Debug, Clone)]
 pub struct SelectionStage<S = GreedySelection> {
     policy: S,
     power_mode: PowerMode,
-    /// Bumped on every power-mode switch; part of every cache key so a
-    /// mode change can never alias an entry from the previous goal.
-    mode_epoch: u64,
     selection: MoleculeSelection,
     reselects: u64,
     cache_enabled: bool,
     ctx: SelectionContext,
-    memo: BTreeMap<Vec<u64>, CachedDecision>,
-    /// Scratch for the memo key of the in-flight reselect; promoted into
-    /// `memo` by [`store_plan`](Self::store_plan) when `pending_key`.
-    key_buf: Vec<u64>,
-    pending_key: bool,
     /// Dense per-SI accumulator reused by every weigh pass.
     weigh_acc: Vec<(f64, TaskId, bool)>,
-    /// Weigh output buffer, swapped into `last_weights` on a miss.
-    weights_scratch: DemandWeights,
     /// `(si, weight)` list handed to the selection policy, reused.
     demand_scratch: Vec<(SiId, f64)>,
     last_weights: DemandWeights,
+    /// Shared so the manager can apply the plan while mutating itself.
     last_plan: Arc<RotationPlan>,
-    last_fingerprint: Option<(u64, u32, u64)>,
+    last_fingerprint: Option<(u64, u32)>,
     cache_hits: u64,
     cache_misses: u64,
     cache_invalidations: u64,
 }
-
-/// Memo entries kept before a wholesale flush. A deterministic clear (not
-/// LRU) so cache *contents* never depend on query order — only hit rates
-/// do.
-const MEMO_CAPACITY: usize = 128;
 
 impl<S: SelectionPolicy> SelectionStage<S> {
     /// Creates the stage with an empty selection and the cache enabled.
@@ -332,16 +276,11 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         SelectionStage {
             policy,
             power_mode,
-            mode_epoch: 0,
             selection: MoleculeSelection::default(),
             reselects: 0,
             cache_enabled: true,
             ctx: SelectionContext::default(),
-            memo: BTreeMap::new(),
-            key_buf: Vec::new(),
-            pending_key: false,
             weigh_acc: Vec::new(),
-            weights_scratch: DemandWeights::default(),
             demand_scratch: Vec::new(),
             last_weights: DemandWeights::default(),
             last_plan: Arc::new(RotationPlan::default()),
@@ -352,23 +291,14 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         }
     }
 
-    /// Enables or disables both cache tiers (builder-style). Disabled, the
+    /// Enables or disables the fingerprint (builder-style). Disabled, the
     /// stage is the from-scratch oracle the cached kernel is validated
     /// against.
     #[must_use]
     pub fn with_cache(mut self, enabled: bool) -> Self {
         self.cache_enabled = enabled;
-        if !enabled {
-            self.memo.clear();
-            self.last_fingerprint = None;
-        }
+        self.last_fingerprint = None;
         self
-    }
-
-    /// Whether the cache tiers are active.
-    #[must_use]
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
     }
 
     /// The selection currently in force.
@@ -384,12 +314,11 @@ impl<S: SelectionPolicy> SelectionStage<S> {
     }
 
     /// Switches the adaptation goal. The caller decides whether that
-    /// warrants a re-selection (it does, at run time). Bumps the mode
-    /// epoch and invalidates the cache: weights are mode-dependent.
+    /// warrants a re-selection (it does, at run time). Invalidates the
+    /// fingerprint: weights are mode-dependent.
     pub fn set_power_mode(&mut self, mode: PowerMode) {
         self.power_mode = mode;
-        self.mode_epoch = self.mode_epoch.wrapping_add(1);
-        self.invalidate(CacheInvalidation::PowerMode);
+        self.invalidate();
     }
 
     /// Number of selection re-evaluations so far — every FC event invokes
@@ -401,7 +330,7 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         self.reselects
     }
 
-    /// `(hits, misses, invalidations)` of the decision cache.
+    /// `(hits, misses, invalidations)` of the fingerprint.
     #[must_use]
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         (self.cache_hits, self.cache_misses, self.cache_invalidations)
@@ -413,131 +342,71 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         &self.last_weights
     }
 
-    /// Drops every memoised decision and the revision fingerprint.
+    /// The rotation plan of the last re-selection, as handed to
+    /// [`store_plan`](Self::store_plan).
+    #[must_use]
+    pub fn last_plan(&self) -> &Arc<RotationPlan> {
+        &self.last_plan
+    }
+
+    /// Drops the revision fingerprint.
     ///
-    /// Called when state *outside* the cache key changes — the committed
-    /// fabric moved, a container died, the SI table was swapped. Counted
-    /// only when something was actually cached: flushing an empty cache
-    /// carries no information.
-    pub fn invalidate(&mut self, _reason: CacheInvalidation) {
-        if !self.cache_enabled || (self.memo.is_empty() && self.last_fingerprint.is_none()) {
-            return;
+    /// Called when state *outside* the fingerprint changes — the committed
+    /// fabric moved, a container died, the power mode switched. Counted
+    /// only when a fingerprint was held: dropping nothing carries no
+    /// information.
+    pub fn invalidate(&mut self) {
+        if self.last_fingerprint.take().is_some() {
+            self.cache_invalidations += 1;
         }
-        self.cache_invalidations += 1;
-        self.memo.clear();
-        self.last_fingerprint = None;
     }
 
     /// Re-evaluates the selection from the active demands under the
-    /// Atom-Container budget `capacity`, and returns the demand weights
-    /// that drove it (the rotation planner orders upgrades by them).
+    /// Atom-Container budget `capacity`, and returns whether the
+    /// fingerprint hit.
     ///
-    /// The uncached legacy entry point: always recomputes, never consults
-    /// or populates the memo, and drops the fingerprint so a subsequent
-    /// [`reselect_cached`](Self::reselect_cached) cannot alias stale
-    /// state.
+    /// On a hit — `(demands.revision(), capacity)` matches the previous
+    /// call — the previous selection, weights and plan stay in force
+    /// without touching the library. On a miss the demands are re-weighed
+    /// and the selection policy runs; the caller then plans rotations for
+    /// the new selection and records the plan via
+    /// [`store_plan`](Self::store_plan).
     pub fn reselect(
         &mut self,
         lib: &SiLibrary,
         catalog: &AtomCatalog,
         demands: &ForecastStore,
         capacity: u32,
-    ) -> DemandWeights {
+    ) -> bool {
         self.reselects += 1;
-        self.pending_key = false;
-        self.last_fingerprint = None;
-        let weights = weigh_demands(lib, catalog, self.power_mode, demands);
-        self.selection =
-            self.policy
-                .select_with(&mut self.ctx, lib, &weights.as_demands(), capacity);
-        self.last_weights = weights.clone();
-        weights
-    }
-
-    /// The incremental re-selection entry point.
-    ///
-    /// Tier 1: when `(demands.revision(), capacity, mode_epoch)` matches
-    /// the previous call, no input of the decision changed — the previous
-    /// selection, weights and plan are reused without touching the
-    /// library. Tier 2: otherwise demands are re-weighed and the exact
-    /// weighted state is looked up in the memo. Only on a miss does the
-    /// selection policy run; the caller then plans rotations and stores
-    /// the plan via [`store_plan`](Self::store_plan), completing the memo
-    /// entry.
-    pub fn reselect_cached(
-        &mut self,
-        lib: &SiLibrary,
-        catalog: &AtomCatalog,
-        demands: &ForecastStore,
-        capacity: u32,
-    ) -> CacheLookup {
-        self.reselects += 1;
-        self.pending_key = false;
-        let fingerprint = (demands.revision(), capacity, self.mode_epoch);
-        if self.cache_enabled && self.last_fingerprint == Some(fingerprint) {
+        let fingerprint = (demands.revision(), capacity);
+        if self.last_fingerprint == Some(fingerprint) {
             self.cache_hits += 1;
-            return CacheLookup::Hit(Arc::clone(&self.last_plan));
+            return true;
         }
+        self.cache_misses += 1;
         weigh_demands_into(
             lib,
             catalog,
             self.power_mode,
             demands,
             &mut self.weigh_acc,
-            &mut self.weights_scratch,
+            &mut self.last_weights,
         );
-        if self.cache_enabled {
-            self.key_buf.clear();
-            self.key_buf.push(u64::from(capacity));
-            self.key_buf.push(self.mode_epoch);
-            for (si, w, owner) in self.weights_scratch.iter() {
-                self.key_buf.push(si.index() as u64);
-                self.key_buf.push(w.to_bits());
-                self.key_buf.push(u64::from(owner));
-            }
-            if let Some(cached) = self.memo.get(&self.key_buf) {
-                self.selection.clone_from(&cached.selection);
-                self.last_weights.clone_from(&cached.weights);
-                self.last_plan = Arc::clone(&cached.plan);
-                self.last_fingerprint = Some(fingerprint);
-                self.cache_hits += 1;
-                return CacheLookup::Hit(Arc::clone(&self.last_plan));
-            }
-            self.pending_key = true;
-        }
-        self.cache_misses += 1;
         self.demand_scratch.clear();
         self.demand_scratch
-            .extend(self.weights_scratch.iter().map(|(si, w, _)| (si, w)));
+            .extend(self.last_weights.iter().map(|(si, w, _)| (si, w)));
         self.selection =
             self.policy
                 .select_with(&mut self.ctx, lib, &self.demand_scratch, capacity);
-        std::mem::swap(&mut self.last_weights, &mut self.weights_scratch);
-        self.last_fingerprint = Some(fingerprint);
-        CacheLookup::Miss
+        self.last_fingerprint = self.cache_enabled.then_some(fingerprint);
+        false
     }
 
-    /// Completes a [`CacheLookup::Miss`]: records `plan` as the plan of
-    /// the current decision and memoises the whole decision under the key
-    /// built by [`reselect_cached`](Self::reselect_cached).
-    pub fn store_plan(&mut self, plan: RotationPlan) -> Arc<RotationPlan> {
-        let plan = Arc::new(plan);
-        self.last_plan = Arc::clone(&plan);
-        if self.cache_enabled && self.pending_key {
-            self.pending_key = false;
-            if self.memo.len() >= MEMO_CAPACITY {
-                self.memo.clear();
-            }
-            self.memo.insert(
-                self.key_buf.clone(),
-                CachedDecision {
-                    selection: self.selection.clone(),
-                    weights: self.last_weights.clone(),
-                    plan: Arc::clone(&plan),
-                },
-            );
-        }
-        plan
+    /// Records `plan` as the rotation plan of the current selection, the
+    /// one a later fingerprint hit keeps in force.
+    pub fn store_plan(&mut self, plan: RotationPlan) {
+        self.last_plan = Arc::new(plan);
     }
 }
 
@@ -623,8 +492,9 @@ mod tests {
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 100.0));
         store.insert(1, fv(s1, 1.0));
-        let w = stage.reselect(&lib, &catalog, &store, 3);
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
         assert_eq!(stage.reselects(), 1);
+        let w = stage.last_weights();
         assert!(w.weight_of(s0) > w.weight_of(s1));
         // S0 dominates: the target covers its fast Molecule.
         assert!(Molecule::from_counts([2, 1]).le(&stage.selection().target));
@@ -643,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_tiers_hit_and_stay_decision_identical() {
+    fn fingerprint_hits_only_on_an_unchanged_store() {
         let (lib, catalog, s0, s1) = platform();
         let mut stage = SelectionStage::new(GreedySelection, PowerMode::default());
         let mut store = ForecastStore::new(0.25);
@@ -651,46 +521,33 @@ mod tests {
         store.insert(1, fv(s1, 1.0));
 
         // First reselect: miss; complete it with a plan.
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
         let fresh = stage.selection().clone();
         stage.store_plan(RotationPlan::default());
 
-        // Unchanged store ⇒ tier-1 (fingerprint) hit.
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Hit(_)
-        ));
+        // Unchanged store: hit, and the selection stays in force.
+        assert!(stage.reselect(&lib, &catalog, &store, 3));
         assert_eq!(stage.selection(), &fresh);
 
-        // Retract-then-restore bumps the revision twice but lands on an
-        // already-weighed state ⇒ tier-2 (memo) hit.
+        // Retract-then-restore bumps the revision twice: the restored
+        // state misses, yet recomputes the identical selection.
         store.retract(1, s1);
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
         stage.store_plan(RotationPlan::default());
         store.insert(1, fv(s1, 1.0));
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Hit(_)
-        ));
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
         assert_eq!(stage.selection(), &fresh);
-
-        let (hits, misses, _) = stage.cache_stats();
-        assert_eq!((hits, misses), (2, 2));
+        assert_eq!(stage.cache_stats(), (1, 3, 0));
 
         // Invalidation forces a recompute of the same decision.
-        stage.invalidate(CacheInvalidation::RotationCompleted);
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
-        assert_eq!(stage.selection(), &fresh);
+        stage.invalidate();
         assert_eq!(stage.cache_stats().2, 1);
+        // Invalidating without a held fingerprint is not counted.
+        stage.invalidate();
+        assert_eq!(stage.cache_stats().2, 1);
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
+        assert_eq!(stage.selection(), &fresh);
+        assert_eq!(stage.cache_stats(), (1, 4, 1));
     }
 
     #[test]
@@ -701,39 +558,32 @@ mod tests {
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 100.0));
         for _ in 0..3 {
-            assert!(matches!(
-                stage.reselect_cached(&lib, &catalog, &store, 3),
-                CacheLookup::Miss
-            ));
+            assert!(!stage.reselect(&lib, &catalog, &store, 3));
             stage.store_plan(RotationPlan::default());
         }
         assert_eq!(stage.cache_stats(), (0, 3, 0));
         // Invalidating a disabled cache is a counted no-op.
-        stage.invalidate(CacheInvalidation::Fault);
+        stage.invalidate();
         assert_eq!(stage.cache_stats(), (0, 3, 0));
     }
 
     #[test]
-    fn power_mode_switch_separates_cache_epochs() {
+    fn power_mode_switch_drops_the_fingerprint() {
         use rispp_core::energy::EnergyModel;
         let (lib, catalog, s0, _) = platform();
         let mut stage = SelectionStage::new(GreedySelection, PowerMode::default());
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 3.0));
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
         stage.store_plan(RotationPlan::default());
         stage.set_power_mode(PowerMode::EnergySaving {
             model: EnergyModel::default(),
             alpha: 1.0,
         });
-        // Same store, new epoch: must miss and re-weigh under the new goal.
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
+        assert_eq!(stage.cache_stats().2, 1);
+        // Same store and capacity: must still miss and re-weigh under the
+        // new goal.
+        assert!(!stage.reselect(&lib, &catalog, &store, 3));
         assert!(stage.last_weights().weight_of(s0).abs() < f64::EPSILON);
     }
 

@@ -1,9 +1,10 @@
-//! Twin-comparison properties for the incremental selection cache.
+//! Twin-comparison properties for the selection fingerprint.
 //!
 //! Two managers run the same random operation sequence on the same
-//! platform under the same deterministic fault plan; one has the
-//! selection cache enabled, the other runs every re-selection from
-//! scratch (the oracle). The cache is only allowed to change *speed*:
+//! platform under the same deterministic fault plan; one keeps the
+//! previous decision while the forecast revision and capacity are
+//! unchanged, the other runs every re-selection from scratch (the
+//! oracle). The fingerprint is only allowed to change *speed*:
 //! selections, rotation plans and the entire event timeline must be
 //! identical modulo the `cache_hit` marker on `Reselect` events —
 //! across every invalidation interleaving the sequence produces
@@ -106,10 +107,13 @@ struct RunOutcome {
     loaded: Molecule,
     rotations_requested: u64,
     cache_stats: (u64, u64, u64),
+    /// `Reselect` events marked `cache_hit`, counted before normalising.
+    marked_hits: u64,
 }
 
 /// Drives `ops` against a fresh platform (faulted per `fault_seed`) and
-/// returns the observables, with `cache_hit` markers normalised away.
+/// returns the observables, with `cache_hit` markers counted and then
+/// normalised away.
 fn run(ops: &[Op], fault_seed: u64, cache: bool) -> RunOutcome {
     let (lib, fabric) = platform();
     let fabric = if fault_seed == 0 {
@@ -155,19 +159,23 @@ fn run(ops: &[Op], fault_seed: u64, cache: bool) -> RunOutcome {
         loaded: mgr.loaded(),
         rotations_requested: mgr.rotations_requested(),
         cache_stats: mgr.selection_cache_stats(),
+        marked_hits: 0,
     };
     drop(mgr);
     let mut timeline = Rc::try_unwrap(sink)
         .expect("manager dropped its sink handle")
         .into_inner()
         .into_timeline();
+    let mut marked_hits = 0;
     for record in timeline.entries_mut() {
         if let Event::Reselect { cache_hit, .. } = &mut record.event {
+            marked_hits += u64::from(*cache_hit);
             *cache_hit = false;
         }
     }
     RunOutcome {
         timeline: timeline.entries().to_vec(),
+        marked_hits,
         ..outcome
     }
 }
@@ -198,5 +206,8 @@ proptest! {
             .filter(|r| matches!(r.event, Event::Reselect { .. }))
             .count() as u64;
         prop_assert_eq!(cached.cache_stats.0 + cached.cache_stats.1, reselects);
+        // The event markers agree with the stage's own hit counter.
+        prop_assert_eq!(cached.marked_hits, cached.cache_stats.0);
+        prop_assert_eq!(oracle.marked_hits, 0);
     }
 }

@@ -164,13 +164,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
         Ref::map(self.timeline.borrow(), TimelineSink::timeline)
     }
 
-    /// Deprecated alias of [`Engine::timeline`].
-    #[deprecated(since = "0.2.0", note = "use `Engine::timeline`")]
-    #[must_use]
-    pub fn trace(&self) -> Ref<'_, Timeline> {
-        self.timeline()
-    }
-
     /// The derived time-weighted gauges, live alongside the timeline.
     ///
     /// Borrows from the engine's shared sink; drop the returned guard

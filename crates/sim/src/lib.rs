@@ -22,8 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// The deprecated shims below exist for external callers only; the crate
-// itself must not regress into using them.
+// The crate must not regress into using deprecated APIs.
 #![deny(deprecated)]
 
 pub mod asm;
@@ -66,22 +65,3 @@ pub use waveform::{container_timelines, render_waveform, ContainerTimeline, Occu
 // query an [`Engine`]'s timeline without naming the obs crate directly.
 pub use rispp_fabric::clock::Clock;
 pub use rispp_obs::{BinaryReader, BinarySink, Event, Record, Timeline, TimelineSink};
-
-/// The simulator's event log, now the shared [`rispp_obs::Timeline`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rispp_obs::Timeline` (re-exported as `Timeline`)"
-)]
-pub type Trace = rispp_obs::Timeline;
-/// One timestamped event, now the shared [`rispp_obs::Record`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rispp_obs::Record` (re-exported as `Record`)"
-)]
-pub type TraceEntry = rispp_obs::Record;
-/// The event payload, now the shared [`rispp_obs::Event`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rispp_obs::Event` (re-exported as `Event`)"
-)]
-pub type TraceEvent = rispp_obs::Event;
