@@ -71,7 +71,7 @@ pub use forecast::{FdfParams, ForecastValue};
 pub use molecule::Molecule;
 pub use pareto::{latency_staircase, pareto_front, TradeOffPoint};
 pub use selection::{
-    select_molecules, select_molecules_exhaustive, select_molecules_with, selection_benefit,
+    select_molecules, select_molecules_exhaustive, select_molecules_into, selection_benefit,
     trim_forecast_candidates, trim_forecast_candidates_with, MoleculeSelection, SelectionContext,
     TrimOutcome,
 };

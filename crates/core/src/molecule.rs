@@ -214,6 +214,11 @@ impl Molecule {
         self.counts.as_slice()
     }
 
+    /// The raw count slice, mutably (in-place kernels within the crate).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u32] {
+        self.counts.as_mut_slice()
+    }
+
     /// Checked `∪` (element-wise max): the Meta-Molecule able to host both
     /// operands.
     ///

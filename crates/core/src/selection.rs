@@ -3,20 +3,35 @@
 //!
 //! The run-time entry points come in two flavours: the plain functions
 //! ([`select_molecules`], [`trim_forecast_candidates`]) allocate their
-//! working state per call, while the `_with` variants thread a reusable
-//! [`SelectionContext`] through so a caller that selects on every
-//! forecast event (the RISPP run-time manager) performs no per-call
-//! allocation beyond the returned decision. Both flavours are
-//! decision-identical by construction — the `_with` variants are the
-//! same algorithm over borrowed scratch.
+//! working state and result per call, while [`select_molecules_into`] and
+//! [`trim_forecast_candidates_with`] thread a reusable
+//! [`SelectionContext`] through, and the former also refills a
+//! caller-owned [`MoleculeSelection`]. A caller that selects on every
+//! forecast event (the RISPP run-time manager) therefore performs no
+//! per-call allocation once the buffers have grown. The plain functions
+//! are thin wrappers over the reusable ones, so both flavours are
+//! decision-identical by construction.
 
 use crate::error::WidthMismatchError;
 use crate::molecule::Molecule;
 use crate::si::{SiId, SiLibrary};
 
+/// One hardware implementation the greedy kernel may pick: Molecule
+/// `molecule` of demand slot `demand`, with its latency. Its Atom counts
+/// are the matching row of `SelectionContext::counts`.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    demand: usize,
+    molecule: usize,
+    cycles: u64,
+}
+
+/// Marks a demand slot without a hardware choice (it runs in software).
+const SOFTWARE: usize = usize::MAX;
+
 /// Reusable scratch buffers for the selection kernel.
 ///
-/// One context serves any number of [`select_molecules_with`] /
+/// One context serves any number of [`select_molecules_into`] /
 /// [`trim_forecast_candidates_with`] calls (of any width or demand
 /// count); buffers grow to the high-water mark and are then reused.
 /// The context carries no decision state — dropping it and starting
@@ -25,8 +40,12 @@ use crate::si::{SiId, SiLibrary};
 pub struct SelectionContext {
     /// Best latency per demanded SI under the partial target.
     current: Vec<u64>,
-    /// Chosen implementation per demand slot (dense, `None` = software).
-    chosen: Vec<Option<ChosenMolecule>>,
+    /// Chosen candidate per demand slot ([`SOFTWARE`] = none).
+    chosen: Vec<usize>,
+    /// Flat candidate table in `(demand, molecule)` order.
+    candidates: Vec<Candidate>,
+    /// Atom counts of the candidates, `width` per candidate, row-major.
+    counts: Vec<u32>,
     /// Per-kind maximum count over the kept candidates (trim scratch).
     max1: Vec<u32>,
     /// Per-kind second-largest count over the kept candidates.
@@ -290,91 +309,124 @@ pub fn select_molecules(
     demands: &[(SiId, f64)],
     capacity: u32,
 ) -> MoleculeSelection {
-    select_molecules_with(&mut SelectionContext::default(), lib, demands, capacity)
+    let mut out = MoleculeSelection::default();
+    select_molecules_into(
+        &mut SelectionContext::default(),
+        lib,
+        demands,
+        capacity,
+        &mut out,
+    );
+    out
 }
 
-/// [`select_molecules`] over a reusable [`SelectionContext`]: the same
-/// greedy pass (identical tie-breaking, identical output) with its
-/// per-demand working vectors borrowed from `ctx` and candidate pricing
-/// done via [`Molecule::union_determinant`] instead of materialising a
-/// trial union per candidate — zero allocation beyond the returned
-/// selection on platforms within [`Molecule::INLINE_WIDTH`].
+/// [`select_molecules`] into a caller-owned `out`, over a reusable
+/// [`SelectionContext`]: no allocation once the buffers have grown, on
+/// platforms within [`Molecule::INLINE_WIDTH`] (wider ones clone heap
+/// Molecules into `out.chosen`).
+///
+/// The kernel copies every candidate implementation — each weighted
+/// demand's Molecules, in `(demand, molecule)` order — into one flat
+/// table of `width` counts per row, then runs the greedy rounds over that
+/// table: per round, every upgrade is priced by the determinant of its
+/// union with the partial target, and the first strictly greater ratio
+/// wins. `out` is overwritten entirely.
 ///
 /// # Panics
 ///
 /// Same contract as [`select_molecules`].
-#[must_use]
-pub fn select_molecules_with(
+pub fn select_molecules_into(
     ctx: &mut SelectionContext,
     lib: &SiLibrary,
     demands: &[(SiId, f64)],
     capacity: u32,
-) -> MoleculeSelection {
+    out: &mut MoleculeSelection,
+) {
     assert!(
         demands.iter().all(|&(_, w)| w >= 0.0),
         "demand weights must be non-negative"
     );
     let width = lib.width();
-    let mut target = Molecule::zero(width);
-    // Current best latency per demanded SI under `target`.
     ctx.current.clear();
     ctx.current
         .extend(demands.iter().map(|&(si, _)| lib.get(si).sw_cycles()));
     ctx.chosen.clear();
-    ctx.chosen.resize(demands.len(), None);
+    ctx.chosen.resize(demands.len(), SOFTWARE);
+    ctx.candidates.clear();
+    ctx.counts.clear();
+    for (demand, &(si, weight)) in demands.iter().enumerate() {
+        if weight == 0.0 {
+            continue;
+        }
+        for (molecule, m) in lib.get(si).molecules().iter().enumerate() {
+            ctx.candidates.push(Candidate {
+                demand,
+                molecule,
+                cycles: m.cycles,
+            });
+            ctx.counts.extend_from_slice(m.molecule.as_slice());
+        }
+    }
+    if out.target.width() == width {
+        out.target.as_mut_slice().fill(0);
+    } else {
+        out.target = Molecule::zero(width);
+    }
+    let target = out.target.as_mut_slice();
+    let mut target_det: u32 = 0;
 
     loop {
-        let target_det = target.determinant();
-        let mut best: Option<(usize, usize, f64)> = None; // (demand, molecule, ratio)
-        for (d, &(si, weight)) in demands.iter().enumerate() {
-            if weight == 0.0 {
+        let mut best: Option<(usize, u32, f64)> = None; // (candidate, union det, ratio)
+        for (c, cand) in ctx.candidates.iter().enumerate() {
+            let current = ctx.current[cand.demand];
+            if cand.cycles >= current {
+                continue; // not an upgrade
+            }
+            let row = &ctx.counts[c * width..(c + 1) * width];
+            let union_det: u32 = target.iter().zip(row).map(|(&a, &b)| a.max(b)).sum();
+            if union_det > capacity {
                 continue;
             }
-            let si_def = lib.get(si);
-            for (mi, m) in si_def.molecules().iter().enumerate() {
-                if m.cycles >= ctx.current[d] {
-                    continue; // not an upgrade
-                }
-                let union_det = target
-                    .union_determinant(&m.molecule)
-                    .expect("library enforces equal widths");
-                if union_det > capacity {
-                    continue;
-                }
-                let cost = u64::from(union_det - target_det);
-                let gain = weight * (ctx.current[d] - m.cycles) as f64;
-                // Free upgrades get an effectively infinite ratio.
-                let ratio = if cost == 0 {
-                    f64::INFINITY
-                } else {
-                    gain / cost as f64
-                };
-                if best.is_none_or(|(_, _, r)| ratio > r) {
-                    best = Some((d, mi, ratio));
-                }
+            let cost = u64::from(union_det - target_det);
+            let gain = demands[cand.demand].1 * (current - cand.cycles) as f64;
+            // Free upgrades get an effectively infinite ratio.
+            let ratio = if cost == 0 {
+                f64::INFINITY
+            } else {
+                gain / cost as f64
+            };
+            if best.is_none_or(|(_, _, r)| ratio > r) {
+                best = Some((c, union_det, ratio));
             }
         }
-        let Some((d, mi, ratio)) = best else { break };
+        let Some((c, union_det, ratio)) = best else {
+            break;
+        };
         if ratio <= 0.0 {
             break;
         }
-        let (si, _) = demands[d];
-        let m = &lib.get(si).molecules()[mi];
-        target
-            .union_in_place(&m.molecule)
-            .expect("library enforces equal widths");
-        ctx.current[d] = m.cycles;
-        ctx.chosen[d] = Some(ChosenMolecule {
-            si,
-            molecule_index: mi,
-            cycles: m.cycles,
-            molecule: m.molecule.clone(),
-        });
+        let row = &ctx.counts[c * width..(c + 1) * width];
+        for (a, &b) in target.iter_mut().zip(row) {
+            *a = (*a).max(b);
+        }
+        target_det = union_det;
+        let cand = ctx.candidates[c];
+        ctx.current[cand.demand] = cand.cycles;
+        ctx.chosen[cand.demand] = c;
     }
 
-    MoleculeSelection {
-        target,
-        chosen: ctx.chosen.drain(..).flatten().collect(),
+    out.chosen.clear();
+    for (&(si, _), &c) in demands.iter().zip(&ctx.chosen) {
+        if c == SOFTWARE {
+            continue;
+        }
+        let cand = ctx.candidates[c];
+        out.chosen.push(ChosenMolecule {
+            si,
+            molecule_index: cand.molecule,
+            cycles: cand.cycles,
+            molecule: lib.get(si).molecules()[cand.molecule].molecule.clone(),
+        });
     }
 }
 

@@ -180,6 +180,10 @@ pub struct Fabric {
     catalog: AtomCatalog,
     clock: Clock,
     containers: Vec<AtomContainer>,
+    /// The Meta-Molecule of all fully loaded Atoms, kept current by
+    /// [`Fabric::set_container_state`], the one place container states
+    /// change.
+    loaded: Molecule,
     /// FIFO of requested-but-not-started rotations.
     queue: VecDeque<(ContainerId, AtomKind)>,
     /// The in-flight rotation, if any.
@@ -228,6 +232,7 @@ impl Fabric {
             "atom catalog must be index-aligned with the atom set"
         );
         Fabric {
+            loaded: Molecule::zero(atoms.len()),
             atoms,
             catalog,
             clock,
@@ -381,15 +386,11 @@ impl Fabric {
         }
     }
 
-    /// The Meta-Molecule of all *usable* (fully loaded) Atoms.
+    /// The Meta-Molecule of all *usable* (fully loaded) Atoms. Kept
+    /// current as containers change state, so reading it costs nothing.
     #[must_use]
-    pub fn loaded_molecule(&self) -> Molecule {
-        Molecule::from_pairs(
-            self.atoms.len(),
-            self.containers
-                .iter()
-                .filter_map(|c| c.loaded_kind().map(|k| (k, 1))),
-        )
+    pub fn loaded_molecule(&self) -> &Molecule {
+        &self.loaded
     }
 
     /// The Meta-Molecule that will be loaded once all queued and in-flight
@@ -397,19 +398,33 @@ impl Fabric {
     /// every rotation target).
     #[must_use]
     pub fn committed_molecule(&self) -> Molecule {
-        let pending_overwrite: Vec<usize> = self.queue.iter().map(|&(c, _)| c.index()).collect();
-        let mut pairs: Vec<(AtomKind, u32)> = Vec::new();
-        for (i, c) in self.containers.iter().enumerate() {
-            match c.state() {
-                ContainerState::Loaded { kind } if !pending_overwrite.contains(&i) => {
-                    pairs.push((kind, 1));
-                }
-                ContainerState::Loading { kind, .. } => pairs.push((kind, 1)),
-                _ => {}
+        let mut committed = self.loaded.clone();
+        for c in &self.containers {
+            if let ContainerState::Loading { kind, .. } = c.state() {
+                add_count(&mut committed, kind, 1);
             }
         }
-        pairs.extend(self.queue.iter().map(|&(_, k)| (k, 1)));
-        Molecule::from_pairs(self.atoms.len(), pairs)
+        // A queued overwrite replaces the Atom its container holds now.
+        for &(id, kind) in &self.queue {
+            if let Some(old) = self.containers[id.index()].loaded_kind() {
+                add_count(&mut committed, old, -1);
+            }
+            add_count(&mut committed, kind, 1);
+        }
+        committed
+    }
+
+    /// Moves container `id` to `state`, keeping the loaded Molecule in
+    /// step. Every container state change goes through here.
+    fn set_container_state(&mut self, id: ContainerId, state: ContainerState) {
+        let container = &mut self.containers[id.index()];
+        if let Some(old) = container.loaded_kind() {
+            add_count(&mut self.loaded, old, -1);
+        }
+        container.set_state(state);
+        if let Some(new) = container.loaded_kind() {
+            add_count(&mut self.loaded, new, 1);
+        }
     }
 
     /// Returns `true` when neither a rotation is in flight nor queued.
@@ -432,18 +447,17 @@ impl Fabric {
         let mut t = self.next_completion()?;
         for &(_, kind) in &self.queue {
             let duration = self.catalog.rotation_cycles(kind, &self.clock);
-            t = self.stalled_finish(t, duration).0;
+            t = self.stalled_finish(t, duration, |_, _| {});
         }
         Some(t)
     }
 
     /// Computes when a transfer of `duration` cycles starting at `start`
-    /// finishes under the plan's stall windows, and which stall
-    /// intervals it crosses (`(begins_at, until)` pairs).
-    fn stalled_finish(&self, start: u64, duration: u64) -> (u64, Vec<(u64, u64)>) {
+    /// finishes under the plan's stall windows, handing each stall
+    /// interval it crosses to `crossed` as `(begins_at, until)`.
+    fn stalled_finish(&self, start: u64, duration: u64, mut crossed: impl FnMut(u64, u64)) -> u64 {
         let mut t = start;
         let mut remaining = duration;
-        let mut crossed = Vec::new();
         for w in &self.faults.stall_windows {
             if w.until <= t {
                 continue;
@@ -453,10 +467,10 @@ impl Fabric {
                 break;
             }
             remaining -= begin - t;
-            crossed.push((begin, w.until));
+            crossed(begin, w.until);
             t = w.until;
         }
-        (t + remaining, crossed)
+        t + remaining
     }
 
     /// Requests a rotation writing `kind` into container `id`.
@@ -529,9 +543,8 @@ impl Fabric {
     }
 
     /// The queued (not yet started) rotations in FIFO order.
-    #[must_use]
-    pub fn pending_rotations(&self) -> Vec<(ContainerId, AtomKind)> {
-        self.queue.iter().copied().collect()
+    pub fn pending_rotations(&self) -> impl ExactSizeIterator<Item = (ContainerId, AtomKind)> + '_ {
+        self.queue.iter().copied()
     }
 
     /// Number of queued (not yet started) rotations, without
@@ -556,7 +569,13 @@ impl Fabric {
         }
         self.pump(t);
         self.clock.advance_to(t);
-        Ok(std::mem::take(&mut self.events))
+        if self.events.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Leave a buffer behind, so a rotation that a later request
+        // starts records its event without allocating.
+        let n = self.events.len();
+        Ok(std::mem::replace(&mut self.events, Vec::with_capacity(n)))
     }
 
     /// Processes stalls, faults, completions and queue starts in
@@ -614,7 +633,7 @@ impl Fabric {
             .pop_front()
             .expect("caller checked a transient is due");
         if let ContainerState::Loaded { kind } = self.containers[id.index()].state() {
-            self.containers[id.index()].set_state(ContainerState::Empty);
+            self.set_container_state(id, ContainerState::Empty);
             self.events.push(FabricEvent::ContainerFaulted {
                 container: id,
                 kind,
@@ -668,17 +687,17 @@ impl Fabric {
                 kind,
             });
             if bad {
-                self.containers[id.index()].set_state(ContainerState::Quarantined);
+                self.set_container_state(id, ContainerState::Quarantined);
                 self.events
                     .push(FabricEvent::ContainerQuarantined { container: id, at });
                 self.sink.emit_with(at, || Event::ContainerQuarantined {
                     container: id.index() as u32,
                 });
             } else {
-                self.containers[id.index()].set_state(ContainerState::Empty);
+                self.set_container_state(id, ContainerState::Empty);
             }
         } else {
-            self.containers[id.index()].set_state(ContainerState::Loaded { kind });
+            self.set_container_state(id, ContainerState::Loaded { kind });
             self.events.push(FabricEvent::RotationCompleted {
                 container: id,
                 kind,
@@ -711,8 +730,11 @@ impl Fabric {
             });
         }
         let duration = self.catalog.rotation_cycles(kind, &self.clock);
-        let (done_at, stalls) = self.stalled_finish(at, duration);
-        self.containers[id.index()].set_state(ContainerState::Loading { kind, done_at });
+        let mut stalls = VecDeque::new();
+        let done_at = self.stalled_finish(at, duration, |begin, until| {
+            stalls.push_back((begin, until));
+        });
+        self.set_container_state(id, ContainerState::Loading { kind, done_at });
         self.events.push(FabricEvent::RotationStarted {
             container: id,
             kind,
@@ -727,10 +749,15 @@ impl Fabric {
             kind,
             seq: self.rotation_seq,
             done_at,
-            stalls: stalls.into(),
+            stalls,
         });
         self.rotation_seq += 1;
     }
+}
+
+/// Adds `delta` to `kind`'s count in `m`.
+fn add_count(m: &mut Molecule, kind: AtomKind, delta: i32) {
+    m.set_count(kind, m.count(kind).wrapping_add_signed(delta));
 }
 
 #[cfg(test)]
@@ -753,7 +780,7 @@ mod tests {
         assert!((85_000..87_000).contains(&done));
         let events = f.advance_to(done).unwrap();
         assert_eq!(events.len(), 2); // started + completed
-        assert_eq!(f.loaded_molecule(), Molecule::from_counts([1, 0, 0, 0]));
+        assert_eq!(*f.loaded_molecule(), Molecule::from_counts([1, 0, 0, 0]));
         assert!(f.is_idle());
     }
 
@@ -977,7 +1004,7 @@ mod tests {
         // The retry is a fresh sequence number and succeeds.
         f.request_rotation(ContainerId(0), AtomKind(0)).unwrap();
         f.advance_to(f.all_rotations_done_at().unwrap()).unwrap();
-        assert_eq!(f.loaded_molecule(), Molecule::from_counts([1, 1, 0, 0]));
+        assert_eq!(*f.loaded_molecule(), Molecule::from_counts([1, 1, 0, 0]));
     }
 
     #[test]
@@ -1184,7 +1211,10 @@ mod tests {
         f.advance_to(f.next_completion().unwrap()).unwrap();
         f.request_rotation(ContainerId(1), AtomKind(1)).unwrap();
         f.request_rotation(ContainerId(0), AtomKind(2)).unwrap();
-        assert_eq!(f.pending_rotations(), vec![(ContainerId(0), AtomKind(2))]);
+        assert_eq!(
+            f.pending_rotations().collect::<Vec<_>>(),
+            vec![(ContainerId(0), AtomKind(2))]
+        );
 
         assert!(f.cancel_pending(ContainerId(0)));
         f.advance_to(f.all_rotations_done_at().unwrap()).unwrap();

@@ -1,12 +1,14 @@
 //! Property tests on the fabric: conservation of Atoms, single-port
-//! serialisation, and time consistency under arbitrary request/advance
-//! interleavings.
+//! serialisation, time consistency under arbitrary request/advance
+//! interleavings, and the kept loaded Molecule under faults.
 
 use proptest::prelude::*;
 use rispp_core::atom::{AtomKind, AtomSet};
+use rispp_core::molecule::Molecule;
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
-use rispp_fabric::container::ContainerId;
+use rispp_fabric::container::{ContainerId, ContainerState};
 use rispp_fabric::fabric::{Fabric, FabricError, FabricEvent};
+use rispp_fabric::fault::{FaultPlan, StallWindow};
 
 const KINDS: usize = 3;
 
@@ -168,5 +170,125 @@ proptest! {
         let earlier = fabric.advance_to(delta.saturating_sub(1));
         let ok = matches!(earlier, Err(FabricError::TimeReversal { .. }) | Ok(_));
         prop_assert!(ok);
+    }
+}
+
+/// One step against a faulted fabric, including cancellation of the whole
+/// queue (the manager's `CancelPending`).
+#[derive(Debug, Clone, Copy)]
+enum FaultyAction {
+    Request { container: usize, kind: usize },
+    Advance { delta: u64 },
+    Cancel { container: usize },
+    CancelAll,
+}
+
+fn faulty_action(containers: usize) -> impl Strategy<Value = FaultyAction> {
+    prop_oneof![
+        (0..containers, 0..KINDS)
+            .prop_map(|(container, kind)| FaultyAction::Request { container, kind }),
+        (1u64..60_000).prop_map(|delta| FaultyAction::Advance { delta }),
+        (0..containers).prop_map(|container| FaultyAction::Cancel { container }),
+        Just(FaultyAction::CancelAll),
+    ]
+}
+
+/// A fault plan over `containers` containers: CRC failures on early
+/// rotations, bad (quarantining) containers, transient upsets and port
+/// stalls, all within the first few rotation times.
+fn fault_plan(containers: usize) -> impl Strategy<Value = FaultPlan> {
+    (
+        proptest::collection::vec(0u64..10, 0..4),
+        proptest::collection::vec(0..containers, 0..2),
+        proptest::collection::vec((0u64..400_000, 0..containers), 0..8),
+        proptest::collection::vec((0u64..300_000, 1u64..30_000), 0..3),
+    )
+        .prop_map(|(crc, bad, transient, stalls)| FaultPlan {
+            crc_failures: crc,
+            bad_containers: bad.into_iter().map(ContainerId).collect(),
+            transient_faults: transient
+                .into_iter()
+                .map(|(at, c)| (at, ContainerId(c)))
+                .collect(),
+            stall_windows: stalls
+                .into_iter()
+                .map(|(from, len)| StallWindow {
+                    from,
+                    until: from + len,
+                })
+                .collect(),
+        })
+}
+
+/// A container count with a fault plan and an action sequence for it.
+fn faulty_run() -> impl Strategy<Value = (usize, FaultPlan, Vec<FaultyAction>)> {
+    (1usize..6).prop_flat_map(|containers| {
+        (
+            Just(containers),
+            fault_plan(containers),
+            proptest::collection::vec(faulty_action(containers), 1..60),
+        )
+    })
+}
+
+/// The loaded Molecule recounted from scratch over the containers.
+fn recount_loaded(fabric: &Fabric) -> Molecule {
+    Molecule::from_pairs(
+        KINDS,
+        fabric
+            .iter_containers()
+            .filter_map(|(_, c)| c.loaded_kind().map(|k| (k, 1))),
+    )
+}
+
+/// `committed_molecule` as it was built from `(kind, 1)` pairs: loaded
+/// Atoms not queued for overwrite, the loading one, and every queued
+/// target.
+fn committed_by_pairs(fabric: &Fabric) -> Molecule {
+    let pending_overwrite: Vec<ContainerId> = fabric.pending_rotations().map(|(c, _)| c).collect();
+    let mut pairs: Vec<(AtomKind, u32)> = Vec::new();
+    for (id, c) in fabric.iter_containers() {
+        match c.state() {
+            ContainerState::Loaded { kind } if !pending_overwrite.contains(&id) => {
+                pairs.push((kind, 1));
+            }
+            ContainerState::Loading { kind, .. } => pairs.push((kind, 1)),
+            _ => {}
+        }
+    }
+    pairs.extend(fabric.pending_rotations().map(|(_, k)| (k, 1)));
+    Molecule::from_pairs(KINDS, pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The incrementally kept loaded Molecule equals a from-scratch
+    /// recount after every operation — through transient faults, CRC
+    /// failures, quarantines and cancelled queued overwrites — and the
+    /// allocation-free `committed_molecule` equals the pairs-based
+    /// construction it replaced.
+    #[test]
+    fn kept_loaded_molecule_matches_a_recount((containers, plan, actions) in faulty_run()) {
+        let mut fabric = make_fabric(containers).with_faults(plan);
+        for a in actions {
+            match a {
+                FaultyAction::Request { container, kind } => {
+                    let _ = fabric.request_rotation(ContainerId(container), AtomKind(kind));
+                }
+                FaultyAction::Advance { delta } => {
+                    let t = fabric.now() + delta;
+                    fabric.advance_to(t).unwrap();
+                }
+                FaultyAction::Cancel { container } => {
+                    let _ = fabric.cancel_pending(ContainerId(container));
+                }
+                FaultyAction::CancelAll => {
+                    let _ = fabric.cancel_all_pending();
+                }
+            }
+            prop_assert_eq!(fabric.loaded_molecule(), &recount_loaded(&fabric));
+            prop_assert_eq!(fabric.committed_molecule(), committed_by_pairs(&fabric));
+        }
     }
 }

@@ -153,6 +153,6 @@ mod tests {
         // Only the queued B transfer is refunded.
         assert_eq!(ledger.rotations_requested(), 1);
         assert_eq!(ledger.rotation_bytes(), 6_920);
-        assert!(f.pending_rotations().is_empty());
+        assert_eq!(f.pending_rotation_count(), 0);
     }
 }

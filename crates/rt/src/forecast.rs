@@ -10,8 +10,6 @@
 //! decides *when* a change warrants a re-selection; this stage only
 //! answers *what* the current demands are.
 
-use std::collections::BTreeMap;
-
 use rispp_core::forecast::ForecastValue;
 use rispp_core::si::SiId;
 
@@ -25,8 +23,10 @@ use crate::TaskId;
 /// becomes the owner recorded for its rotations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForecastStore {
-    /// Active forecasts, keyed by (task, si).
-    demands: BTreeMap<(TaskId, usize), ForecastValue>,
+    /// Active forecasts, sorted by their `(task, si)` key. Inserts and
+    /// retracts shift in place, so once the vector has grown to the
+    /// high-water mark of concurrent demands no call allocates.
+    demands: Vec<((TaskId, usize), ForecastValue)>,
     /// Smoothing factor λ ∈ [0, 1] for online forecast fine-tuning
     /// (weight of each new observation).
     lambda: f64,
@@ -48,7 +48,7 @@ impl ForecastStore {
     pub fn new(lambda: f64) -> Self {
         assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0, 1]");
         ForecastStore {
-            demands: BTreeMap::new(),
+            demands: Vec::new(),
             lambda,
             revision: 0,
         }
@@ -83,23 +83,34 @@ impl ForecastStore {
         self.demands.is_empty()
     }
 
+    /// Position of `key` in the sorted demand vector, or where it would
+    /// be inserted.
+    fn find(&self, key: (TaskId, usize)) -> Result<usize, usize> {
+        self.demands.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
     /// Stores (or replaces) `task`'s forecast for `value.si`.
     pub fn insert(&mut self, task: TaskId, value: ForecastValue) {
-        let key = (task, value.si.index());
-        if self.demands.get(&key) != Some(&value) {
-            self.revision = self.revision.wrapping_add(1);
+        match self.find((task, value.si.index())) {
+            Ok(at) => {
+                if self.demands[at].1 != value {
+                    self.revision = self.revision.wrapping_add(1);
+                }
+                self.demands[at].1 = value;
+            }
+            Err(at) => {
+                self.revision = self.revision.wrapping_add(1);
+                self.demands.insert(at, ((task, value.si.index()), value));
+            }
         }
-        self.demands.insert(key, value);
     }
 
     /// Drops `task`'s forecast for `si` (a negative FC). Returns the
     /// retracted value, `None` when no such demand was active.
     pub fn retract(&mut self, task: TaskId, si: SiId) -> Option<ForecastValue> {
-        let removed = self.demands.remove(&(task, si.index()));
-        if removed.is_some() {
-            self.revision = self.revision.wrapping_add(1);
-        }
-        removed
+        let at = self.find((task, si.index())).ok()?;
+        self.revision = self.revision.wrapping_add(1);
+        Some(self.demands.remove(at).1)
     }
 
     /// Fine-tunes `task`'s stored forecast for `si` with one observed
@@ -115,7 +126,8 @@ impl ForecastStore {
         observed_executions: f64,
     ) {
         let lambda = self.lambda;
-        if let Some(fv) = self.demands.get_mut(&(task, si.index())) {
+        if let Ok(at) = self.find((task, si.index())) {
+            let fv = &mut self.demands[at].1;
             let before = fv.clone();
             fv.observe(lambda, reached, observed_distance, observed_executions);
             if *fv != before {
@@ -128,7 +140,7 @@ impl ForecastStore {
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, SiId, &ForecastValue)> {
         self.demands
             .iter()
-            .map(|(&(task, si), fv)| (task, SiId(si), fv))
+            .map(|((task, si), fv)| (*task, SiId(*si), fv))
     }
 }
 

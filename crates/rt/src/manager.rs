@@ -24,8 +24,6 @@
 //! Molecule — so execution upgrades gradually while rotations complete,
 //! exactly the T4/T5 steps of the paper's Fig. 6 scenario.
 
-use std::sync::Arc;
-
 use rispp_core::error::CoreError;
 use rispp_core::forecast::ForecastValue;
 use rispp_core::si::{SiId, SiLibrary};
@@ -183,7 +181,11 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                     _ => {}
                 }
             }
-            all.extend(events);
+            if all.is_empty() {
+                all = events;
+            } else {
+                all.extend(events);
+            }
             if need_reselect {
                 self.reselect(ReselectTrigger::Fault);
             }
@@ -294,8 +296,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
             id: si.index(),
             library_len: self.lib.len(),
         })?;
-        let loaded = self.fabric.loaded_molecule();
-        let best = def.best_available(&loaded);
+        let best = def.best_available(self.fabric.loaded_molecule());
         let record = match best {
             Some(m) => {
                 command::apply(
@@ -351,12 +352,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
             // Only a fresh decision pays for rotation scheduling; a
             // fingerprint hit re-applies the stored plan below.
             let _sched = self.prof.scope(phase::ROTATION_SCHEDULE);
-            let plan = self.scheduler.plan(
-                &self.lib,
-                self.selector.selection(),
-                self.selector.last_weights(),
-            );
-            self.selector.store_plan(plan);
+            self.selector.replan(&self.scheduler, &self.lib);
         }
         // Applying the plan is provably a no-op when no rotation is queued
         // (cancelling would refund nothing) and the committed fabric
@@ -372,8 +368,11 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 .target
                 .le(&self.fabric.committed_molecule());
         if !satisfied {
-            let plan = Arc::clone(self.selector.last_plan());
+            // Borrowed out and put back, so the plan's buffers survive
+            // for the next replan.
+            let plan = std::mem::take(self.selector.plan_mut());
             self.apply_plan(&plan);
+            *self.selector.plan_mut() = plan;
         }
         let measured = scope.stop();
         if self.sink.is_enabled() {
@@ -405,9 +404,9 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     fn apply_plan(&mut self, plan: &RotationPlan) {
         command::apply(&mut self.fabric, &mut self.ledger, &Command::CancelPending)
             .expect("cancel is infallible");
-        let target = self.selector.selection().target.clone();
-        for upgrade in &plan.upgrades {
-            for (step, stage) in upgrade.stages.iter().enumerate() {
+        let target = &self.selector.selection().target;
+        for upgrade in plan.upgrades() {
+            for (step, stage) in plan.stages(upgrade).iter().enumerate() {
                 let mut requested = 0u32;
                 let mut exhausted = false;
                 loop {
@@ -422,7 +421,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                     else {
                         break;
                     };
-                    let Some(victim) = self.policy.choose_victim(&self.fabric, &target) else {
+                    let Some(victim) = self.policy.choose_victim(&self.fabric, target) else {
                         exhausted = true; // nothing evictable; stop scheduling
                         break;
                     };

@@ -58,7 +58,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     /// Currently usable Atoms.
     #[must_use]
     pub fn loaded(&self) -> Molecule {
-        self.fabric.loaded_molecule()
+        self.fabric.loaded_molecule().clone()
     }
 
     /// The Meta-Molecule the current selection is converging to.

@@ -33,57 +33,35 @@ impl LruSurplusPolicy {
 }
 
 impl ReplacementPolicy for LruSurplusPolicy {
+    /// One scan in container order: the first eligible empty container
+    /// wins outright; otherwise the least-recently-used eligible container
+    /// whose kind is loaded in surplus of `keep` (lowest id on ties).
     fn choose_victim(&self, fabric: &Fabric, keep: &Molecule) -> Option<ContainerId> {
-        let mut pending = vec![false; fabric.num_containers()];
-        for (id, c) in fabric.iter_containers() {
-            if c.is_loading() {
-                pending[id.index()] = true;
-            }
-        }
-        // Queued-but-unstarted rotations also make a container ineligible:
-        // it already has a new Atom on the way.
-        for (id, _) in fabric.pending_rotations() {
-            pending[id.index()] = true;
-        }
-        // Empty, non-pending containers are free wins. Quarantined
-        // containers also report no loaded Atom, but rotating into them
-        // is pointless — they reject every request.
-        for (id, c) in fabric.iter_containers() {
-            if !pending[id.index()]
-                && c.loaded_kind().is_none()
-                && !c.is_loading()
-                && !c.is_quarantined()
-            {
-                return Some(id);
-            }
-        }
-        // Count surplus per kind: loaded instances beyond what `keep`
-        // requires.
         let loaded = fabric.loaded_molecule();
-        let mut surplus: Vec<i64> = loaded
-            .iter()
-            .map(|(k, have)| i64::from(have) - i64::from(keep.count(k)))
-            .collect();
-        // LRU among surplus-kind containers.
-        let mut candidates: Vec<(u64, ContainerId)> = fabric
-            .iter_containers()
-            .filter_map(|(id, c)| {
-                let kind = c.loaded_kind()?;
-                if pending[id.index()] || surplus[kind.index()] <= 0 {
-                    None
-                } else {
-                    Some((c.last_used(), id))
+        let mut lru: Option<(u64, ContainerId)> = None;
+        for (id, c) in fabric.iter_containers() {
+            // Loading containers and those with a queued-but-unstarted
+            // rotation are ineligible: a new Atom is already on the way.
+            if c.is_loading() || fabric.pending_rotations().any(|(p, _)| p == id) {
+                continue;
+            }
+            match c.loaded_kind() {
+                // Empty containers are free wins. Quarantined containers
+                // also report no loaded Atom, but rotating into them is
+                // pointless — they reject every request.
+                None if !c.is_quarantined() => return Some(id),
+                None => {}
+                // Surplus: more instances loaded than `keep` requires.
+                Some(kind)
+                    if loaded.count(kind) > keep.count(kind)
+                        && lru.is_none_or(|(used, _)| c.last_used() < used) =>
+                {
+                    lru = Some((c.last_used(), id));
                 }
-            })
-            .collect();
-        candidates.sort_unstable_by_key(|&(used, id)| (used, id));
-        let victim = candidates.first().map(|&(_, id)| id);
-        if let Some(id) = victim {
-            if let Some(kind) = fabric.container(id).loaded_kind() {
-                surplus[kind.index()] -= 1;
+                Some(_) => {}
             }
         }
-        victim
+        lru.map(|(_, id)| id)
     }
 }
 

@@ -16,6 +16,7 @@
 //!   the next retry due?" without ever touching the fabric itself.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
@@ -42,24 +43,51 @@ pub enum RotationStrategy {
 }
 
 /// One SI's planned upgrade: the Molecule stages to establish, in order,
-/// on behalf of `owner`.
+/// on behalf of `owner`. The stages live in the owning plan's stage
+/// buffer; read them with [`RotationPlan::stages`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedUpgrade {
     /// The SI this upgrade serves.
     pub si: SiId,
     /// Task the rotations are attributed to (the SI's first demander).
     pub owner: Option<TaskId>,
-    /// Molecule stages, earliest first; the last stage is the chosen
-    /// target implementation.
-    pub stages: Vec<Molecule>,
+    /// This upgrade's span of the plan's stage buffer.
+    stages: Range<usize>,
 }
 
 /// The full rotation schedule for one re-selection, most important SI
 /// first.
+///
+/// Flat: every upgrade's Molecule stages sit back to back in one buffer,
+/// so a planner that refills a plan in place
+/// ([`RotationSchedulePolicy::plan_into`]) reuses both buffers and
+/// allocates nothing once they have grown.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RotationPlan {
     /// Planned upgrades in descending demand weight.
-    pub upgrades: Vec<PlannedUpgrade>,
+    upgrades: Vec<PlannedUpgrade>,
+    /// The stages of all upgrades, concatenated in upgrade order.
+    stages: Vec<Molecule>,
+}
+
+impl RotationPlan {
+    /// Planned upgrades in descending demand weight.
+    #[must_use]
+    pub fn upgrades(&self) -> &[PlannedUpgrade] {
+        &self.upgrades
+    }
+
+    /// The Molecule stages of `upgrade`, earliest first; the last stage is
+    /// the chosen target implementation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `upgrade` belongs to a different plan whose stage span
+    /// lies outside this plan's buffer.
+    #[must_use]
+    pub fn stages(&self, upgrade: &PlannedUpgrade) -> &[Molecule] {
+        &self.stages[upgrade.stages.clone()]
+    }
 }
 
 /// How a selection is turned into an ordered rotation schedule.
@@ -68,64 +96,81 @@ pub struct RotationPlan {
 /// static dispatch, so swapping the planner changes the manager's type
 /// parameter instead of adding a branch to the hot path.
 pub trait RotationSchedulePolicy {
-    /// Plans the upgrade ladder for `selection`, ordering SIs by their
-    /// demand `weights` (descending, ties in selection order).
-    fn plan(
+    /// Plans the upgrade ladder for `selection` into `plan`, replacing its
+    /// contents and reusing its buffers. SIs are ordered by their demand
+    /// `weights` (descending, ties in selection order).
+    fn plan_into(
         &self,
         lib: &SiLibrary,
         selection: &MoleculeSelection,
         weights: &DemandWeights,
-    ) -> RotationPlan;
-}
+        plan: &mut RotationPlan,
+    );
 
-impl RotationSchedulePolicy for RotationStrategy {
+    /// [`plan_into`](Self::plan_into) a fresh plan.
     fn plan(
         &self,
         lib: &SiLibrary,
         selection: &MoleculeSelection,
         weights: &DemandWeights,
     ) -> RotationPlan {
-        // Chosen implementations, most important SI first. The sort is
-        // stable: equal weights keep the selection's own order.
-        let mut order: Vec<&rispp_core::selection::ChosenMolecule> =
-            selection.chosen.iter().collect();
-        order.sort_by(|a, b| {
+        let mut plan = RotationPlan::default();
+        self.plan_into(lib, selection, weights, &mut plan);
+        plan
+    }
+}
+
+impl RotationSchedulePolicy for RotationStrategy {
+    fn plan_into(
+        &self,
+        lib: &SiLibrary,
+        selection: &MoleculeSelection,
+        weights: &DemandWeights,
+        plan: &mut RotationPlan,
+    ) {
+        // Until the stages are filled in, each span's start holds the
+        // index of the upgrade's choice in `selection.chosen`.
+        plan.upgrades.clear();
+        plan.upgrades
+            .extend(
+                selection
+                    .chosen
+                    .iter()
+                    .enumerate()
+                    .map(|(i, choice)| PlannedUpgrade {
+                        si: choice.si,
+                        owner: weights.owner_of(choice.si),
+                        stages: i..i,
+                    }),
+            );
+        // Most important SI first. The sort is stable: equal weights keep
+        // the selection's own order.
+        plan.upgrades.sort_by(|a, b| {
             let wa = weights.weight_of(a.si);
             let wb = weights.weight_of(b.si);
             wb.partial_cmp(&wa).unwrap_or(std::cmp::Ordering::Equal)
         });
-        let upgrades = order
-            .into_iter()
-            .map(|choice| {
-                let wanted = choice.molecule.clone();
-                // "Rotation in Advance": load the SI's upgrade path stage
-                // by stage — smallest (slowest) Molecule first — so
-                // hardware execution starts as early as possible and then
-                // gradually upgrades, instead of only after the full
-                // target is loaded.
-                let mut stages: Vec<Molecule> = match self {
-                    RotationStrategy::UpgradePath => {
-                        let mut s: Vec<Molecule> = lib
-                            .get(choice.si)
-                            .molecules()
-                            .iter()
-                            .filter(|m| m.molecule.le(&wanted))
-                            .map(|m| m.molecule.clone())
-                            .collect();
-                        s.sort_by_key(Molecule::determinant);
-                        s
-                    }
-                    RotationStrategy::TargetOnly => Vec::new(),
-                };
-                stages.push(wanted);
-                PlannedUpgrade {
-                    si: choice.si,
-                    owner: weights.owner_of(choice.si),
-                    stages,
-                }
-            })
-            .collect();
-        RotationPlan { upgrades }
+        plan.stages.clear();
+        for upgrade in &mut plan.upgrades {
+            let wanted = &selection.chosen[upgrade.stages.start].molecule;
+            let start = plan.stages.len();
+            // "Rotation in Advance": load the SI's upgrade path stage by
+            // stage — smallest (slowest) Molecule first — so hardware
+            // execution starts as early as possible and then gradually
+            // upgrades, instead of only after the full target is loaded.
+            if *self == RotationStrategy::UpgradePath {
+                plan.stages.extend(
+                    lib.get(upgrade.si)
+                        .molecules()
+                        .iter()
+                        .filter(|m| m.molecule.le(wanted))
+                        .map(|m| m.molecule.clone()),
+                );
+                plan.stages[start..].sort_by_key(Molecule::determinant);
+            }
+            plan.stages.push(wanted.clone());
+            upgrade.stages = start..plan.stages.len();
+        }
     }
 }
 

@@ -16,17 +16,15 @@
 //! Nothing in this module touches the fabric or emits events: given the
 //! same inputs, every function returns the same outputs.
 
-use std::sync::Arc;
-
 pub use rispp_core::selection::{
-    select_molecules, select_molecules_exhaustive, select_molecules_with, MoleculeSelection,
+    select_molecules, select_molecules_exhaustive, select_molecules_into, MoleculeSelection,
     SelectionContext,
 };
 use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::catalog::AtomCatalog;
 
 use crate::forecast::ForecastStore;
-use crate::rotation::RotationPlan;
+use crate::rotation::{RotationPlan, RotationSchedulePolicy};
 use crate::TaskId;
 
 /// Adaptation goal of the run-time system (the paper's §1 motivation
@@ -57,21 +55,30 @@ pub enum PowerMode {
 /// hot path.
 pub trait SelectionPolicy {
     /// Chooses hardware Molecules for the weighted `demands` under the
-    /// Atom-Container budget `capacity`.
-    fn select(&self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> MoleculeSelection;
-
-    /// Incremental entry point: like [`select`](Self::select) but with a
-    /// reusable [`SelectionContext`] holding the scratch buffers of the
-    /// selection kernel. Policies that cannot exploit it fall back to the
-    /// from-scratch path — results must be identical either way.
-    fn select_with(
+    /// Atom-Container budget `capacity`, overwriting `out`. `ctx` holds
+    /// the kernel's reusable scratch buffers; policies that cannot use it
+    /// ignore it — results must be identical either way.
+    fn select_into(
         &self,
-        _ctx: &mut SelectionContext,
+        ctx: &mut SelectionContext,
         lib: &SiLibrary,
         demands: &[(SiId, f64)],
         capacity: u32,
-    ) -> MoleculeSelection {
-        self.select(lib, demands, capacity)
+        out: &mut MoleculeSelection,
+    );
+
+    /// [`select_into`](Self::select_into) a fresh selection with fresh
+    /// scratch.
+    fn select(&self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> MoleculeSelection {
+        let mut out = MoleculeSelection::default();
+        self.select_into(
+            &mut SelectionContext::default(),
+            lib,
+            demands,
+            capacity,
+            &mut out,
+        );
+        out
     }
 }
 
@@ -81,18 +88,15 @@ pub trait SelectionPolicy {
 pub struct GreedySelection;
 
 impl SelectionPolicy for GreedySelection {
-    fn select(&self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> MoleculeSelection {
-        select_molecules(lib, demands, capacity)
-    }
-
-    fn select_with(
+    fn select_into(
         &self,
         ctx: &mut SelectionContext,
         lib: &SiLibrary,
         demands: &[(SiId, f64)],
         capacity: u32,
-    ) -> MoleculeSelection {
-        select_molecules_with(ctx, lib, demands, capacity)
+        out: &mut MoleculeSelection,
+    ) {
+        select_molecules_into(ctx, lib, demands, capacity, out);
     }
 }
 
@@ -102,8 +106,15 @@ impl SelectionPolicy for GreedySelection {
 pub struct ExhaustiveSelection;
 
 impl SelectionPolicy for ExhaustiveSelection {
-    fn select(&self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> MoleculeSelection {
-        select_molecules_exhaustive(lib, demands, capacity)
+    fn select_into(
+        &self,
+        _ctx: &mut SelectionContext,
+        lib: &SiLibrary,
+        demands: &[(SiId, f64)],
+        capacity: u32,
+        out: &mut MoleculeSelection,
+    ) {
+        *out = select_molecules_exhaustive(lib, demands, capacity);
     }
 }
 
@@ -261,8 +272,8 @@ pub struct SelectionStage<S = GreedySelection> {
     /// `(si, weight)` list handed to the selection policy, reused.
     demand_scratch: Vec<(SiId, f64)>,
     last_weights: DemandWeights,
-    /// Shared so the manager can apply the plan while mutating itself.
-    last_plan: Arc<RotationPlan>,
+    /// Rotation plan of the current selection, refilled in place.
+    plan: RotationPlan,
     last_fingerprint: Option<(u64, u32)>,
     cache_hits: u64,
     cache_misses: u64,
@@ -283,7 +294,7 @@ impl<S: SelectionPolicy> SelectionStage<S> {
             weigh_acc: Vec::new(),
             demand_scratch: Vec::new(),
             last_weights: DemandWeights::default(),
-            last_plan: Arc::new(RotationPlan::default()),
+            plan: RotationPlan::default(),
             last_fingerprint: None,
             cache_hits: 0,
             cache_misses: 0,
@@ -342,11 +353,19 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         &self.last_weights
     }
 
-    /// The rotation plan of the last re-selection, as handed to
-    /// [`store_plan`](Self::store_plan).
+    /// The rotation plan of the current selection, as last computed by
+    /// [`replan`](Self::replan).
     #[must_use]
-    pub fn last_plan(&self) -> &Arc<RotationPlan> {
-        &self.last_plan
+    pub fn last_plan(&self) -> &RotationPlan {
+        &self.plan
+    }
+
+    /// The rotation plan, mutably: the manager moves it out with
+    /// [`std::mem::take`] while it applies the plan to the fabric, then
+    /// puts it back so its buffers are reused by the next
+    /// [`replan`](Self::replan).
+    pub(crate) fn plan_mut(&mut self) -> &mut RotationPlan {
+        &mut self.plan
     }
 
     /// Drops the revision fingerprint.
@@ -368,9 +387,8 @@ impl<S: SelectionPolicy> SelectionStage<S> {
     /// On a hit — `(demands.revision(), capacity)` matches the previous
     /// call — the previous selection, weights and plan stay in force
     /// without touching the library. On a miss the demands are re-weighed
-    /// and the selection policy runs; the caller then plans rotations for
-    /// the new selection and records the plan via
-    /// [`store_plan`](Self::store_plan).
+    /// and the selection policy refills the selection in place; the
+    /// caller then plans rotations for it with [`replan`](Self::replan).
     pub fn reselect(
         &mut self,
         lib: &SiLibrary,
@@ -396,23 +414,29 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         self.demand_scratch.clear();
         self.demand_scratch
             .extend(self.last_weights.iter().map(|(si, w, _)| (si, w)));
-        self.selection =
-            self.policy
-                .select_with(&mut self.ctx, lib, &self.demand_scratch, capacity);
+        self.policy.select_into(
+            &mut self.ctx,
+            lib,
+            &self.demand_scratch,
+            capacity,
+            &mut self.selection,
+        );
         self.last_fingerprint = self.cache_enabled.then_some(fingerprint);
         false
     }
 
-    /// Records `plan` as the rotation plan of the current selection, the
-    /// one a later fingerprint hit keeps in force.
-    pub fn store_plan(&mut self, plan: RotationPlan) {
-        self.last_plan = Arc::new(plan);
+    /// Plans the rotations of the current selection with `scheduler`,
+    /// refilling the stored plan in place — the plan a later fingerprint
+    /// hit keeps in force.
+    pub fn replan<R: RotationSchedulePolicy>(&mut self, scheduler: &R, lib: &SiLibrary) {
+        scheduler.plan_into(lib, &self.selection, &self.last_weights, &mut self.plan);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rotation::RotationStrategy;
     use rispp_core::forecast::ForecastValue;
     use rispp_core::molecule::Molecule;
     use rispp_core::si::{MoleculeImpl, SpecialInstruction};
@@ -523,17 +547,20 @@ mod tests {
         // First reselect: miss; complete it with a plan.
         assert!(!stage.reselect(&lib, &catalog, &store, 3));
         let fresh = stage.selection().clone();
-        stage.store_plan(RotationPlan::default());
+        stage.replan(&RotationStrategy::default(), &lib);
+        let plan = stage.last_plan().clone();
 
-        // Unchanged store: hit, and the selection stays in force.
+        // Unchanged store: hit, and the selection and its plan stay in
+        // force.
         assert!(stage.reselect(&lib, &catalog, &store, 3));
         assert_eq!(stage.selection(), &fresh);
+        assert_eq!(stage.last_plan(), &plan);
 
         // Retract-then-restore bumps the revision twice: the restored
         // state misses, yet recomputes the identical selection.
         store.retract(1, s1);
         assert!(!stage.reselect(&lib, &catalog, &store, 3));
-        stage.store_plan(RotationPlan::default());
+        stage.replan(&RotationStrategy::default(), &lib);
         store.insert(1, fv(s1, 1.0));
         assert!(!stage.reselect(&lib, &catalog, &store, 3));
         assert_eq!(stage.selection(), &fresh);
@@ -559,10 +586,11 @@ mod tests {
         store.insert(0, fv(s0, 100.0));
         for _ in 0..3 {
             assert!(!stage.reselect(&lib, &catalog, &store, 3));
-            stage.store_plan(RotationPlan::default());
+            stage.replan(&RotationStrategy::default(), &lib);
         }
         assert_eq!(stage.cache_stats(), (0, 3, 0));
-        // Invalidating a disabled cache is a counted no-op.
+        // A disabled cache holds no fingerprint, so invalidating it is an
+        // uncounted no-op.
         stage.invalidate();
         assert_eq!(stage.cache_stats(), (0, 3, 0));
     }
@@ -575,7 +603,7 @@ mod tests {
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 3.0));
         assert!(!stage.reselect(&lib, &catalog, &store, 3));
-        stage.store_plan(RotationPlan::default());
+        stage.replan(&RotationStrategy::default(), &lib);
         stage.set_power_mode(PowerMode::EnergySaving {
             model: EnergyModel::default(),
             alpha: 1.0,
