@@ -21,16 +21,22 @@
 //!
 //! Each record is length-prefixed: `varint(body_len)` then exactly
 //! `body_len` body bytes. The body is `tag byte · zigzag-varint timestamp
-//! delta · fields`:
+//! delta · fields`, where each event's tag and field layout come from the
+//! schema table in [`crate::event`]; this module holds the generic
+//! machinery (varints, intern tables, framing, streaming decode):
 //!
-//! * integers are LEB128 varints (decoders accept padded, non-minimal
-//!   forms — the encoder's fixed-layout fast path emits two-byte varints
-//!   for some values under `0x80`);
+//! * integers are LEB128 varints, written minimally; decoders also accept
+//!   padded, non-minimal forms (an earlier encoder padded `SiExecuted`'s
+//!   delta and cycle count to two bytes);
 //! * the timestamp is delta-encoded against the previous record's cycle
 //!   (zigzag, so out-of-order timestamps still round-trip);
 //! * `f64` fields are 8 little-endian bytes of [`f64::to_bits`]
 //!   (bit-exact round-trip, NaN payloads included);
-//! * booleans and `Option` discriminants fold into one flags byte;
+//! * booleans, `Option` discriminants and the reselect trigger code share
+//!   one flags byte right after the delta, filled from bit 0 in field
+//!   order; set bits no field claims are refused;
+//! * `UpgradeStep`'s optional task leads its fields, as `task + 1` with
+//!   `0` for none;
 //! * [`Molecule`] values are interned: a varint table index, where an
 //!   index equal to the current table size introduces a new entry and is
 //!   followed by its definition (`varint(len)` then `len` varint counts).
@@ -44,11 +50,9 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
-use rispp_core::si::SiId;
 
-use crate::event::{Event, Record, ReselectTrigger};
+use crate::event::{wire, Event, Record, ReselectTrigger, WireInt};
 use crate::sink::EventSink;
 
 /// Magic bytes opening every binary event stream. The first byte is
@@ -97,392 +101,262 @@ fn err(offset: u64, message: impl Into<String>) -> BinError {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoders
+// Encoding
 // ---------------------------------------------------------------------
 
 #[inline(always)]
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
     }
+    buf.push(v as u8);
 }
 
-#[inline(always)]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
+/// Encoder state of one stream: output buffer, previous cycle, Molecule
+/// intern table and the body being written.
+#[derive(Debug, Default)]
+pub(crate) struct Stream {
+    buf: Vec<u8>,
+    last_at: u64,
+    table: Vec<Molecule>,
+    last_mol: usize,
+    /// The body; bytes past its end (rare long bodies) spill.
+    body: [u8; 32],
+    spill: Vec<u8>,
 }
 
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Event tags. The decoder refuses unknown tags, so adding a variant
-/// means bumping [`BIN_SCHEMA_VERSION`].
-mod tag {
-    pub const ROTATION_STARTED: u8 = 0;
-    pub const ROTATION_COMPLETED: u8 = 1;
-    pub const ROTATION_FAILED: u8 = 2;
-    pub const PORT_STALLED: u8 = 3;
-    pub const CONTAINER_QUARANTINED: u8 = 4;
-    pub const CONTAINER_LOADED: u8 = 5;
-    pub const CONTAINER_EVICTED: u8 = 6;
-    pub const SI_EXECUTED: u8 = 7;
-    pub const FORECAST_UPDATED: u8 = 8;
-    pub const FORECAST_RETRACTED: u8 = 9;
-    pub const FC_OUTCOME: u8 = 10;
-    pub const RESELECT: u8 = 11;
-    pub const UPGRADE_STEP: u8 = 12;
-}
-
-/// High bit of the reselect trigger byte: set when the revision
-/// fingerprint kept the previous decision. Trigger codes stay below 0x80, so
-/// schema version 1 streams written before the cache existed decode
-/// unchanged (bit clear ⇒ `cache_hit = false`).
-const TRIGGER_CACHE_HIT: u8 = 0x80;
-
-fn trigger_code(t: ReselectTrigger) -> u8 {
-    match t {
-        ReselectTrigger::Forecast => 0,
-        ReselectTrigger::ForecastBlock => 1,
-        ReselectTrigger::Retract => 2,
-        ReselectTrigger::Observation => 3,
-        ReselectTrigger::PowerMode => 4,
-        ReselectTrigger::Fault => 5,
-    }
-}
-
-fn trigger_from(code: u8) -> Option<ReselectTrigger> {
-    Some(match code {
-        0 => ReselectTrigger::Forecast,
-        1 => ReselectTrigger::ForecastBlock,
-        2 => ReselectTrigger::Retract,
-        3 => ReselectTrigger::Observation,
-        4 => ReselectTrigger::PowerMode,
-        5 => ReselectTrigger::Fault,
-        _ => return None,
-    })
-}
-
-/// Fixed-size scratch buffer the hot encode path writes record bodies
-/// into: one capacity check when the finished body is appended to the
-/// output, instead of one per byte pushed into a `Vec`. The storage is
-/// borrowed from the sink so it is zeroed once per stream, not once per
-/// record.
-///
-/// 64 bytes hold the worst case of every body that does **not** inline a
-/// new Molecule definition (largest: `SiExecuted` at 1 tag + 10 delta +
-/// 1 flags + 5 task + 10 si + 10 cycles + 10 interned index = 47).
-struct Cursor<'a> {
-    bytes: &'a mut [u8; 64],
+/// Writes one record into its [`Stream`]: a local with every method
+/// inlined, so `len` stays in a register and a byte is one store.
+pub(crate) struct Encoder<'a> {
+    stream: &'a mut Stream,
     len: usize,
+    /// Offset of the body's flags byte and its next free bit.
+    flags_at: usize,
+    shift: u32,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Encoder<'a> {
+    /// Starts a body: tag, timestamp delta and, when the variant has flag
+    /// bits, a zeroed flags byte.
     #[inline(always)]
-    fn new(bytes: &'a mut [u8; 64]) -> Self {
-        Cursor { bytes, len: 0 }
+    pub(crate) fn new(stream: &'a mut Stream, at: u64, tag: u8, flag_bits: u32) -> Self {
+        let delta = at.wrapping_sub(stream.last_at) as i64;
+        stream.last_at = at;
+        let mut enc = Encoder {
+            stream,
+            len: 0,
+            flags_at: 0,
+            shift: 0,
+        };
+        enc.byte(tag);
+        enc.varint(((delta << 1) ^ (delta >> 63)) as u64); // zigzag
+        if flag_bits > 0 {
+            enc.flags_at = enc.len;
+            enc.byte(0);
+        }
+        enc
+    }
+
+    /// Appends the length prefix and the body to the stream's buffer.
+    #[inline(always)]
+    pub(crate) fn finish(&mut self) {
+        let s = &mut *self.stream;
+        put_varint(&mut s.buf, self.len as u64);
+        // Copying the whole array is a few moves, not a memcpy call.
+        let end = s.buf.len() + self.len.min(s.body.len());
+        s.buf.extend_from_slice(&s.body);
+        s.buf.truncate(end);
+        if !s.spill.is_empty() {
+            s.buf.append(&mut s.spill);
+        }
     }
 
     #[inline(always)]
-    fn push(&mut self, b: u8) {
-        self.bytes[self.len] = b;
+    fn byte(&mut self, b: u8) {
+        match self.stream.body.get_mut(self.len) {
+            Some(slot) => *slot = b,
+            None => spill(&mut self.stream.spill, b),
+        }
         self.len += 1;
     }
 
     #[inline(always)]
     fn varint(&mut self, mut v: u64) {
-        // One- and two-byte varints cover almost every field (ids,
-        // cycle deltas, execution costs); unrolling them skips the
-        // loop-carried length dependency.
-        if v < 0x80 {
-            self.push(v as u8);
-            return;
-        }
-        if v < 0x4000 {
-            self.bytes[self.len] = (v & 0x7F) as u8 | 0x80;
-            self.bytes[self.len + 1] = (v >> 7) as u8;
-            self.len += 2;
-            return;
-        }
-        loop {
-            let b = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.push(b);
+        // One- and two-byte varints (nearly every field) check room once.
+        if let Some(pair) = self.stream.body.get_mut(self.len..self.len + 2) {
+            if v < 0x80 {
+                pair[0] = v as u8;
+                self.len += 1;
                 return;
             }
-            self.push(b | 0x80);
+            if v < 0x4000 {
+                pair[0] = v as u8 | 0x80;
+                pair[1] = (v >> 7) as u8;
+                self.len += 2;
+                return;
+            }
         }
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
     }
 
     #[inline(always)]
-    fn f64(&mut self, v: f64) {
-        self.bytes[self.len..self.len + 8].copy_from_slice(&v.to_bits().to_le_bytes());
-        self.len += 8;
+    fn flag(&mut self, bits: u32, v: u8) {
+        self.stream.body[self.flags_at] |= v << self.shift;
+        self.shift += bits;
     }
 }
 
-/// Looks up `molecule` in the intern table without inserting. `last_hit`
-/// caches the previous match: consecutive events overwhelmingly repeat
-/// one Molecule, so the common case is a single comparison, not a table
-/// scan. `None` means this is a first sighting (the slow path interns
-/// it).
-#[inline]
-fn find_molecule(table: &[Molecule], last_hit: &mut usize, molecule: &Molecule) -> Option<usize> {
-    if let Some(m) = table.get(*last_hit) {
-        if m == molecule {
-            return Some(*last_hit);
-        }
-    }
-    let idx = table.iter().position(|m| m == molecule)?;
-    *last_hit = idx;
-    Some(idx)
-}
-
-/// Appends one record (length prefix + body) to `buf`, updating the
-/// encoder state (`last_at`, intern table, molecule cache).
-///
-/// Bodies are encoded into a fixed stack [`Cursor`] and appended with a
-/// single-byte length prefix (a 64-byte cursor body always fits one
-/// varint byte). The only records that cannot take this path are the
-/// ones introducing a new Molecule to the intern table — once per unique
-/// Molecule per stream — which divert to [`encode_molecule_record`].
-#[inline(always)]
-fn encode_record(
-    buf: &mut Vec<u8>,
-    scratch: &mut [u8; 64],
-    table: &mut Vec<Molecule>,
-    last_mol: &mut usize,
-    last_at: &mut u64,
-    at: u64,
-    event: &Event,
-) {
-    let delta = zigzag(at.wrapping_sub(*last_at) as i64);
-    *last_at = at;
-    let mut c = Cursor::new(scratch);
-    match event {
-        Event::RotationStarted { container, kind } => {
-            c.push(tag::ROTATION_STARTED);
-            c.varint(delta);
-            c.varint(u64::from(*container));
-            c.varint(kind.index() as u64);
-        }
-        Event::RotationCompleted { container, kind } => {
-            c.push(tag::ROTATION_COMPLETED);
-            c.varint(delta);
-            c.varint(u64::from(*container));
-            c.varint(kind.index() as u64);
-        }
-        Event::RotationFailed { container, kind } => {
-            c.push(tag::ROTATION_FAILED);
-            c.varint(delta);
-            c.varint(u64::from(*container));
-            c.varint(kind.index() as u64);
-        }
-        Event::PortStalled { until } => {
-            c.push(tag::PORT_STALLED);
-            c.varint(delta);
-            c.varint(*until);
-        }
-        Event::ContainerQuarantined { container } => {
-            c.push(tag::CONTAINER_QUARANTINED);
-            c.varint(delta);
-            c.varint(u64::from(*container));
-        }
-        Event::ContainerLoaded { container, kind } => {
-            c.push(tag::CONTAINER_LOADED);
-            c.varint(delta);
-            c.varint(u64::from(*container));
-            c.varint(kind.index() as u64);
-        }
-        Event::ContainerEvicted { container, kind } => {
-            c.push(tag::CONTAINER_EVICTED);
-            c.varint(delta);
-            c.varint(u64::from(*container));
-            c.varint(kind.index() as u64);
-        }
-        Event::SiExecuted {
-            task,
-            si,
-            hw,
-            cycles,
-            molecule,
-        } => {
-            let idx = match molecule {
-                Some(m) => match find_molecule(table, last_mol, m) {
-                    Some(idx) => Some(idx),
-                    None => return encode_molecule_record(buf, table, last_mol, delta, event),
-                },
-                None => None,
-            };
-            let flags = u8::from(*hw) | (u8::from(idx.is_some()) << 1);
-            let (t, s) = (u64::from(*task), si.index() as u64);
-            let ix = idx.unwrap_or(0) as u64;
-            // ~97% of captured executions fit a fixed layout with
-            // two-byte varints for delta and cycles (LEB128 reads the
-            // padded form back identically), assembled in registers and
-            // appended with one constant-size copy. This is the hottest
-            // record in every scenario, so it skips the Cursor entirely.
-            if delta < 0x4000 && t < 0x80 && s < 0x80 && *cycles < 0x4000 && ix < 0x80 {
-                let body_len = 8 + usize::from(idx.is_some());
-                let rec = [
-                    body_len as u8,
-                    tag::SI_EXECUTED,
-                    (delta & 0x7F) as u8 | 0x80,
-                    (delta >> 7) as u8,
-                    flags,
-                    t as u8,
-                    s as u8,
-                    (*cycles & 0x7F) as u8 | 0x80,
-                    (*cycles >> 7) as u8,
-                    ix as u8,
-                ];
-                buf.extend_from_slice(&rec);
-                buf.truncate(buf.len() + body_len - 9);
-                return;
-            }
-            c.push(tag::SI_EXECUTED);
-            c.varint(delta);
-            c.push(flags);
-            c.varint(t);
-            c.varint(s);
-            c.varint(*cycles);
-            if let Some(idx) = idx {
-                c.varint(idx as u64);
-            }
-        }
-        Event::ForecastUpdated {
-            task,
-            si,
-            probability,
-            expected_executions,
-        } => {
-            c.push(tag::FORECAST_UPDATED);
-            c.varint(delta);
-            c.varint(u64::from(*task));
-            c.varint(si.index() as u64);
-            c.f64(*probability);
-            c.f64(*expected_executions);
-        }
-        Event::ForecastRetracted { task, si } => {
-            c.push(tag::FORECAST_RETRACTED);
-            c.varint(delta);
-            c.varint(u64::from(*task));
-            c.varint(si.index() as u64);
-        }
-        Event::FcOutcome { task, si, reached } => {
-            c.push(tag::FC_OUTCOME);
-            c.varint(delta);
-            c.push(u8::from(*reached));
-            c.varint(u64::from(*task));
-            c.varint(si.index() as u64);
-        }
-        Event::Reselect {
-            trigger,
-            duration_ns,
-            cache_hit,
-        } => {
-            c.push(tag::RESELECT);
-            c.varint(delta);
-            let hit = if *cache_hit { TRIGGER_CACHE_HIT } else { 0 };
-            c.push(trigger_code(*trigger) | hit);
-            c.varint(*duration_ns);
-        }
-        Event::UpgradeStep {
-            si,
-            task,
-            step,
-            molecule,
-        } => {
-            let Some(idx) = find_molecule(table, last_mol, molecule) else {
-                return encode_molecule_record(buf, table, last_mol, delta, event);
-            };
-            c.push(tag::UPGRADE_STEP);
-            c.varint(delta);
-            // 0 encodes `None`; `Some(t)` is carried as `t + 1`.
-            c.varint(task.map_or(0, |t| u64::from(t) + 1));
-            c.varint(si.index() as u64);
-            c.varint(u64::from(*step));
-            c.varint(idx as u64);
-        }
-    }
-    buf.push(c.len as u8);
-    // A fixed-size copy compiles to two register moves instead of a
-    // memcpy call; typical bodies are 8–14 bytes, so over-copying 16 and
-    // truncating wins. Longer bodies (float-carrying events) take the
-    // plain copy.
-    if c.len <= 16 {
-        buf.extend_from_slice(&c.bytes[..16]);
-        buf.truncate(buf.len() - (16 - c.len));
-    } else {
-        buf.extend_from_slice(&c.bytes[..c.len]);
-    }
-}
-
-/// Interns `molecule` (known absent from the table) and encodes the
-/// table reference with its inline definition.
-fn put_new_molecule(body: &mut Vec<u8>, table: &mut Vec<Molecule>, molecule: &Molecule) {
-    put_varint(body, table.len() as u64);
-    let counts = molecule.as_slice();
-    put_varint(body, counts.len() as u64);
-    for &c in counts {
-        put_varint(body, u64::from(c));
-    }
-    table.push(molecule.clone());
-}
-
-/// Cold path for the two molecule-carrying records when the Molecule is
-/// new to the stream: the inline definition is unbounded, so the body is
-/// built in a `Vec` and length-prefixed after the fact.
 #[cold]
-fn encode_molecule_record(
-    buf: &mut Vec<u8>,
-    table: &mut Vec<Molecule>,
-    last_mol: &mut usize,
-    delta: u64,
-    event: &Event,
-) {
-    *last_mol = table.len();
-    let mut body = Vec::with_capacity(64);
-    match event {
-        Event::SiExecuted {
-            task,
-            si,
-            hw,
-            cycles,
-            molecule: Some(m),
-        } => {
-            body.push(tag::SI_EXECUTED);
-            put_varint(&mut body, delta);
-            body.push(u8::from(*hw) | 0b10);
-            put_varint(&mut body, u64::from(*task));
-            put_varint(&mut body, si.index() as u64);
-            put_varint(&mut body, *cycles);
-            put_new_molecule(&mut body, table, m);
-        }
-        Event::UpgradeStep {
-            si,
-            task,
-            step,
-            molecule,
-        } => {
-            body.push(tag::UPGRADE_STEP);
-            put_varint(&mut body, delta);
-            put_varint(&mut body, task.map_or(0, |t| u64::from(t) + 1));
-            put_varint(&mut body, si.index() as u64);
-            put_varint(&mut body, u64::from(*step));
-            put_new_molecule(&mut body, table, molecule);
-        }
-        other => unreachable!("only molecule-introducing records divert here, not {other:?}"),
+fn spill(spill: &mut Vec<u8>, b: u8) {
+    spill.push(b);
+}
+
+/// The binary half of a [`wire`] type: flag bits or a lead varint (the
+/// "head", before any body bytes) and body bytes; the defaults take none.
+pub(crate) trait BinField<T> {
+    /// Flag bits the field takes.
+    const BITS: u32 = 0;
+    /// Writes the field's flag bits or lead varint.
+    fn put_head(_: &mut Encoder<'_>, _: &T) {}
+    /// Writes the field's body bytes.
+    fn put(_: &mut Encoder<'_>, _: &T) {}
+    /// Reads the field's flag bits or lead varint (`0` when it has none).
+    fn take_head(body: &mut Body<'_>, _: &str) -> Result<u64, BinError> {
+        Ok(body.flag_bits(Self::BITS))
     }
-    put_varint(buf, body.len() as u64);
-    buf.extend_from_slice(&body);
+    /// Rebuilds the value from its head and its body bytes.
+    fn take(body: &mut Body<'_>, head: u64, key: &str) -> Result<T, BinError>;
+}
+
+impl<T: WireInt> BinField<T> for wire::Int {
+    fn put(enc: &mut Encoder<'_>, v: &T) {
+        enc.varint(v.to_u64());
+    }
+    #[inline(always)]
+    fn take(body: &mut Body<'_>, _: u64, key: &str) -> Result<T, BinError> {
+        let v = body.varint(key)?;
+        T::from_u64(v).ok_or_else(|| body.out_of_range(key, v))
+    }
+}
+
+impl BinField<f64> for wire::Float {
+    fn put(enc: &mut Encoder<'_>, v: &f64) {
+        for b in v.to_bits().to_le_bytes() {
+            enc.byte(b);
+        }
+    }
+    fn take(body: &mut Body<'_>, _: u64, key: &str) -> Result<f64, BinError> {
+        let raw = body.bytes.get(body.pos..body.pos + 8);
+        let raw = raw
+            .and_then(|r| r.try_into().ok())
+            .ok_or_else(|| body.fail(key))?;
+        body.pos += 8;
+        Ok(f64::from_bits(u64::from_le_bytes(raw)))
+    }
+}
+
+impl<const OMIT_FALSE: bool> BinField<bool> for wire::Flag<OMIT_FALSE> {
+    const BITS: u32 = 1;
+    fn put_head(enc: &mut Encoder<'_>, v: &bool) {
+        enc.flag(1, u8::from(*v));
+    }
+    fn take(_: &mut Body<'_>, head: u64, _: &str) -> Result<bool, BinError> {
+        Ok(head != 0)
+    }
+}
+
+impl BinField<Molecule> for wire::Interned {
+    /// Writes an intern-table reference, defining the Molecule at its
+    /// first sighting. `last_mol` caches the previous match: consecutive
+    /// events mostly repeat one Molecule, so one comparison usually does.
+    #[inline(always)]
+    fn put(enc: &mut Encoder<'_>, m: &Molecule) {
+        let s = &mut *enc.stream;
+        let hit = if s.table.get(s.last_mol) == Some(m) {
+            Some(s.last_mol)
+        } else {
+            s.table.iter().position(|t| t == m)
+        };
+        let idx = hit.unwrap_or(s.table.len());
+        s.last_mol = idx;
+        if hit.is_none() {
+            s.table.push(m.clone());
+        }
+        enc.varint(idx as u64);
+        if hit.is_none() {
+            enc.varint(m.as_slice().len() as u64);
+            for &c in m.as_slice() {
+                enc.varint(u64::from(c));
+            }
+        }
+    }
+    fn take(body: &mut Body<'_>, _: u64, _: &str) -> Result<Molecule, BinError> {
+        let idx = body.varint("molecule index")?;
+        let len = body.table.len();
+        if let Some(m) = usize::try_from(idx).ok().and_then(|i| body.table.get(i)) {
+            return Ok(m.clone());
+        }
+        if idx != len as u64 {
+            return Err(body.error(format!(
+                "molecule index {idx} skips ahead of the intern table (len {len})"
+            )));
+        }
+        let n = body.varint("molecule length")?;
+        let m = (0..n)
+            .map(|_| wire::Int::take(body, 0, "molecule count"))
+            .collect::<Result<Molecule, _>>()?;
+        body.table.push(m.clone());
+        Ok(m)
+    }
+}
+
+impl BinField<Option<Molecule>> for wire::OptInterned {
+    const BITS: u32 = 1;
+    fn put_head(enc: &mut Encoder<'_>, v: &Option<Molecule>) {
+        enc.flag(1, u8::from(v.is_some()));
+    }
+    #[inline(always)]
+    fn put(enc: &mut Encoder<'_>, v: &Option<Molecule>) {
+        if let Some(m) = v {
+            wire::Interned::put(enc, m);
+        }
+    }
+    fn take(body: &mut Body<'_>, head: u64, key: &str) -> Result<Option<Molecule>, BinError> {
+        (head != 0)
+            .then(|| wire::Interned::take(body, head, key))
+            .transpose()
+    }
+}
+
+impl BinField<ReselectTrigger> for wire::Trigger {
+    const BITS: u32 = 7;
+    fn put_head(enc: &mut Encoder<'_>, v: &ReselectTrigger) {
+        enc.flag(7, *v as u8);
+    }
+    fn take(body: &mut Body<'_>, head: u64, _: &str) -> Result<ReselectTrigger, BinError> {
+        let found = ReselectTrigger::ALL.into_iter().find(|t| *t as u64 == head);
+        found.ok_or_else(|| body.error(format!("unknown reselect trigger {head}")))
+    }
+}
+
+impl BinField<Option<u32>> for wire::LeadOpt {
+    #[inline(always)]
+    fn put_head(enc: &mut Encoder<'_>, v: &Option<u32>) {
+        enc.varint(v.map_or(0, |t| u64::from(t) + 1));
+    }
+    fn take_head(body: &mut Body<'_>, key: &str) -> Result<u64, BinError> {
+        body.varint(key)
+    }
+    fn take(body: &mut Body<'_>, head: u64, key: &str) -> Result<Option<u32>, BinError> {
+        let t = head.checked_sub(1);
+        t.map(|t| u32::from_u64(t).ok_or_else(|| body.out_of_range(key, t)))
+            .transpose()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -498,12 +372,8 @@ fn encode_molecule_record(
 #[derive(Debug)]
 pub struct BinarySink<W: Write> {
     writer: Option<W>,
-    buf: Vec<u8>,
-    scratch: Box<[u8; 64]>,
+    stream: Stream,
     header_written: bool,
-    last_at: u64,
-    last_mol: usize,
-    table: Vec<Molecule>,
 }
 
 impl<W: Write> BinarySink<W> {
@@ -511,12 +381,11 @@ impl<W: Write> BinarySink<W> {
     pub fn new(writer: W) -> Self {
         BinarySink {
             writer: Some(writer),
-            buf: Vec::with_capacity(FLUSH_THRESHOLD + 256),
-            scratch: Box::new([0; 64]),
+            stream: Stream {
+                buf: Vec::with_capacity(FLUSH_THRESHOLD + 256),
+                ..Stream::default()
+            },
             header_written: false,
-            last_at: 0,
-            last_mol: 0,
-            table: Vec::new(),
         }
     }
 
@@ -526,15 +395,21 @@ impl<W: Write> BinarySink<W> {
     ///
     /// Returns the underlying I/O error.
     pub fn flush(&mut self) -> io::Result<()> {
+        self.write_buffered()?.flush()
+    }
+
+    /// Hands the buffered bytes to the writer; they stay buffered when
+    /// the write fails.
+    fn write_buffered(&mut self) -> io::Result<&mut W> {
         let writer = self
             .writer
             .as_mut()
             .expect("writer present until into_inner");
-        if !self.buf.is_empty() {
-            writer.write_all(&self.buf)?;
-            self.buf.clear();
+        if !self.stream.buf.is_empty() {
+            writer.write_all(&self.stream.buf)?;
+            self.stream.buf.clear();
         }
-        writer.flush()
+        Ok(writer)
     }
 
     /// Flushes and consumes the sink, returning the writer.
@@ -558,27 +433,12 @@ impl<W: Write> EventSink for BinarySink<W> {
     fn emit(&mut self, at: u64, event: &Event) {
         if !self.header_written {
             self.header_written = true;
-            self.buf.extend_from_slice(&MAGIC);
-            put_varint(&mut self.buf, BIN_SCHEMA_VERSION);
+            self.stream.buf.extend_from_slice(&MAGIC);
+            put_varint(&mut self.stream.buf, BIN_SCHEMA_VERSION);
         }
-        encode_record(
-            &mut self.buf,
-            &mut self.scratch,
-            &mut self.table,
-            &mut self.last_mol,
-            &mut self.last_at,
-            at,
-            event,
-        );
-        if self.buf.len() >= FLUSH_THRESHOLD {
-            let writer = self
-                .writer
-                .as_mut()
-                .expect("writer present until into_inner");
-            writer
-                .write_all(&self.buf)
-                .expect("binary sink write failed");
-            self.buf.clear();
+        event.put_bin(&mut self.stream, at);
+        if self.stream.buf.len() >= FLUSH_THRESHOLD {
+            self.write_buffered().expect("binary sink write failed");
         }
     }
 }
@@ -587,12 +447,8 @@ impl<W: Write> Drop for BinarySink<W> {
     fn drop(&mut self) {
         // Best-effort: errors cannot propagate out of drop. Callers that
         // must observe them go through `flush`/`into_inner`.
-        if let Some(writer) = self.writer.as_mut() {
-            if !self.buf.is_empty() {
-                let _ = writer.write_all(&self.buf);
-                self.buf.clear();
-            }
-            let _ = writer.flush();
+        if self.writer.is_some() {
+            let _ = self.flush();
         }
     }
 }
@@ -602,16 +458,33 @@ impl<W: Write> Drop for BinarySink<W> {
 // ---------------------------------------------------------------------
 
 /// Reads primitives off a fully-buffered record body, where running out
-/// of bytes is corruption (the length prefix promised them).
-struct Body<'a> {
+/// of bytes is corruption (the length prefix promised them), and grows
+/// the decoder's Molecule intern table as definitions arrive.
+pub(crate) struct Body<'a> {
     bytes: &'a [u8],
     pos: usize,
     offset: u64,
+    table: &'a mut Vec<Molecule>,
+    /// The record's flags byte and its next unread bit.
+    flags: u8,
+    shift: u32,
 }
 
 impl Body<'_> {
+    /// An error at this record's offset.
+    #[cold]
+    pub(crate) fn error(&self, message: impl Into<String>) -> BinError {
+        err(self.offset, message)
+    }
+
+    #[cold]
     fn fail(&self, what: &str) -> BinError {
-        err(self.offset, format!("truncated or malformed {what}"))
+        self.error(format!("truncated or malformed {what}"))
+    }
+
+    #[cold]
+    fn out_of_range(&self, what: &str, v: u64) -> BinError {
+        self.error(format!("{what} {v} out of range"))
     }
 
     fn u8(&mut self, what: &str) -> Result<u8, BinError> {
@@ -620,67 +493,33 @@ impl Body<'_> {
         Ok(b)
     }
 
+    #[inline(always)]
     fn varint(&mut self, what: &str) -> Result<u64, BinError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8(what)?;
-            if shift == 63 && b > 1 {
-                return Err(err(self.offset, format!("varint overflow in {what}")));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(err(self.offset, format!("varint overflow in {what}")));
-            }
+        let (v, end) = match self.bytes.get(self.pos) {
+            // One-byte varints (most fields) skip the general loop.
+            Some(&b) if b < 0x80 => (u64::from(b), self.pos + 1),
+            _ => read_varint(self.bytes, self.pos, self.offset, what)?
+                .ok_or_else(|| self.fail(what))?,
+        };
+        self.pos = end;
+        Ok(v)
+    }
+
+    /// Reads the flags byte of event `name` when its variant has
+    /// `flag_bits`, refusing set bits that no field claims.
+    pub(crate) fn begin(&mut self, flag_bits: u32, name: &str) -> Result<(), BinError> {
+        self.flags = if flag_bits > 0 { self.u8("flags")? } else { 0 };
+        self.shift = 0;
+        if u32::from(self.flags) >> flag_bits != 0 {
+            return Err(self.error(format!("unknown {name} flags {:#x}", self.flags)));
         }
+        Ok(())
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, BinError> {
-        u32::try_from(self.varint(what)?)
-            .map_err(|_| err(self.offset, format!("{what} exceeds u32")))
-    }
-
-    fn index(&mut self, what: &str) -> Result<usize, BinError> {
-        usize::try_from(self.varint(what)?)
-            .map_err(|_| err(self.offset, format!("{what} exceeds usize")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, BinError> {
-        if self.bytes.len() - self.pos < 8 {
-            return Err(self.fail(what));
-        }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
-    }
-
-    fn molecule(&mut self, table: &mut Vec<Molecule>) -> Result<Molecule, BinError> {
-        let idx = self.index("molecule index")?;
-        match idx.cmp(&table.len()) {
-            std::cmp::Ordering::Less => Ok(table[idx].clone()),
-            std::cmp::Ordering::Equal => {
-                let len = self.index("molecule length")?;
-                let mut counts = Vec::with_capacity(len.min(64));
-                for _ in 0..len {
-                    counts.push(self.u32("molecule count")?);
-                }
-                let m: Molecule = counts.into_iter().collect();
-                table.push(m.clone());
-                Ok(m)
-            }
-            std::cmp::Ordering::Greater => Err(err(
-                self.offset,
-                format!(
-                    "molecule index {idx} skips ahead of the intern table (len {})",
-                    table.len()
-                ),
-            )),
-        }
+    fn flag_bits(&mut self, bits: u32) -> u64 {
+        let v = (u64::from(self.flags) >> self.shift) & ((1 << bits) - 1);
+        self.shift += bits;
+        v
     }
 }
 
@@ -696,105 +535,15 @@ fn decode_body(
         bytes: body,
         pos: 0,
         offset,
+        table,
+        flags: 0,
+        shift: 0,
     };
     let tag = b.u8("record tag")?;
-    let delta = unzigzag(b.varint("timestamp delta")?);
-    let at = last_at.wrapping_add(delta as u64);
+    let z = b.varint("timestamp delta")?;
+    let at = last_at.wrapping_add((((z >> 1) as i64) ^ -((z & 1) as i64)) as u64); // unzigzag
     *last_at = at;
-    let event = match tag {
-        tag::ROTATION_STARTED => Event::RotationStarted {
-            container: b.u32("container")?,
-            kind: AtomKind(b.index("kind")?),
-        },
-        tag::ROTATION_COMPLETED => Event::RotationCompleted {
-            container: b.u32("container")?,
-            kind: AtomKind(b.index("kind")?),
-        },
-        tag::ROTATION_FAILED => Event::RotationFailed {
-            container: b.u32("container")?,
-            kind: AtomKind(b.index("kind")?),
-        },
-        tag::PORT_STALLED => Event::PortStalled {
-            until: b.varint("until")?,
-        },
-        tag::CONTAINER_QUARANTINED => Event::ContainerQuarantined {
-            container: b.u32("container")?,
-        },
-        tag::CONTAINER_LOADED => Event::ContainerLoaded {
-            container: b.u32("container")?,
-            kind: AtomKind(b.index("kind")?),
-        },
-        tag::CONTAINER_EVICTED => Event::ContainerEvicted {
-            container: b.u32("container")?,
-            kind: AtomKind(b.index("kind")?),
-        },
-        tag::SI_EXECUTED => {
-            let flags = b.u8("flags")?;
-            if flags & !0b11 != 0 {
-                return Err(err(offset, format!("unknown si_executed flags {flags:#x}")));
-            }
-            let task = b.u32("task")?;
-            let si = SiId(b.index("si")?);
-            let cycles = b.varint("cycles")?;
-            let molecule = if flags & 0b10 != 0 {
-                Some(b.molecule(table)?)
-            } else {
-                None
-            };
-            Event::SiExecuted {
-                task,
-                si,
-                hw: flags & 0b01 != 0,
-                cycles,
-                molecule,
-            }
-        }
-        tag::FORECAST_UPDATED => Event::ForecastUpdated {
-            task: b.u32("task")?,
-            si: SiId(b.index("si")?),
-            probability: b.f64("probability")?,
-            expected_executions: b.f64("expected_executions")?,
-        },
-        tag::FORECAST_RETRACTED => Event::ForecastRetracted {
-            task: b.u32("task")?,
-            si: SiId(b.index("si")?),
-        },
-        tag::FC_OUTCOME => {
-            let reached = match b.u8("reached")? {
-                0 => false,
-                1 => true,
-                other => return Err(err(offset, format!("malformed boolean {other:#x}"))),
-            };
-            Event::FcOutcome {
-                task: b.u32("task")?,
-                si: SiId(b.index("si")?),
-                reached,
-            }
-        }
-        tag::RESELECT => {
-            let code = b.u8("trigger")?;
-            let trigger = trigger_from(code & !TRIGGER_CACHE_HIT)
-                .ok_or_else(|| err(offset, format!("unknown reselect trigger {code}")))?;
-            Event::Reselect {
-                trigger,
-                duration_ns: b.varint("duration_ns")?,
-                cache_hit: code & TRIGGER_CACHE_HIT != 0,
-            }
-        }
-        tag::UPGRADE_STEP => {
-            let task = match b.varint("task")? {
-                0 => None,
-                t => Some(u32::try_from(t - 1).map_err(|_| err(offset, "task exceeds u32"))?),
-            };
-            Event::UpgradeStep {
-                task,
-                si: SiId(b.index("si")?),
-                step: b.u32("step")?,
-                molecule: b.molecule(table)?,
-            }
-        }
-        other => return Err(err(offset, format!("unknown event tag {other}"))),
-    };
+    let event = Event::take_bin(tag, &mut b)?;
     if b.pos != body.len() {
         return Err(err(
             offset,
@@ -804,13 +553,14 @@ fn decode_body(
     Ok(Record { at, event })
 }
 
-/// Tries to read a varint at `bytes[pos..]`. `Ok(None)` means the buffer
-/// ends mid-varint (feed more bytes); `Err` means the varint itself is
-/// malformed.
-fn peek_varint(
+/// Tries to read a varint at `bytes[pos..]`, returning it and the
+/// position after it. `Ok(None)` means the buffer ends mid-varint (feed
+/// more bytes); `Err` means the varint itself is malformed.
+fn read_varint(
     bytes: &[u8],
     mut pos: usize,
     offset: u64,
+    what: &str,
 ) -> Result<Option<(u64, usize)>, BinError> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -820,16 +570,14 @@ fn peek_varint(
         };
         pos += 1;
         if shift == 63 && b > 1 {
-            return Err(err(offset, "varint overflow in length prefix"));
+            return Err(err(offset, format!("varint overflow in {what}")));
         }
         v |= u64::from(b & 0x7F) << shift;
         if b & 0x80 == 0 {
             return Ok(Some((v, pos)));
         }
+        // A tenth byte (shift 63) either ends the varint or overflowed.
         shift += 7;
-        if shift > 63 {
-            return Err(err(offset, "varint overflow in length prefix"));
-        }
     }
 }
 
@@ -881,10 +629,6 @@ impl StreamDecoder {
         self.buf.len() - self.start
     }
 
-    fn avail(&self) -> &[u8] {
-        &self.buf[self.start..]
-    }
-
     fn consume(&mut self, n: usize) {
         self.start += n;
         self.offset += n as u64;
@@ -911,25 +655,22 @@ impl StreamDecoder {
 
     fn try_next(&mut self) -> Result<Option<Record>, BinError> {
         if !self.header_done {
-            let avail = self.avail();
-            if avail.len() < MAGIC.len() {
-                // Reject on the first wrong byte: callers probing a
-                // JSONL stream should fail fast, not buffer forever.
-                if !avail.is_empty() && avail != &MAGIC[..avail.len()] {
-                    return Err(err(
-                        self.offset,
-                        "bad magic: not a RISPP binary event stream",
-                    ));
-                }
-                return Ok(None);
-            }
-            if avail[..MAGIC.len()] != MAGIC {
+            let avail = &self.buf[self.start..];
+            // Reject on the first wrong byte: callers probing a JSONL
+            // stream should fail fast, not buffer forever.
+            let n = avail.len().min(MAGIC.len());
+            if avail[..n] != MAGIC[..n] {
                 return Err(err(
                     self.offset,
                     "bad magic: not a RISPP binary event stream",
                 ));
             }
-            let Some((version, end)) = peek_varint(avail, MAGIC.len(), self.offset)? else {
+            if n < MAGIC.len() {
+                return Ok(None);
+            }
+            let Some((version, end)) =
+                read_varint(avail, MAGIC.len(), self.offset, "schema version")?
+            else {
                 return Ok(None);
             };
             if version > BIN_SCHEMA_VERSION {
@@ -947,16 +688,20 @@ impl StreamDecoder {
         // Direct field borrows keep the body slice (`self.buf`) disjoint
         // from the decoder state (`self.last_at` / `self.table`).
         let avail = &self.buf[self.start..];
-        let Some((len, body_start)) = peek_varint(avail, 0, self.offset)? else {
+        let Some((len, body_start)) = read_varint(avail, 0, self.offset, "length prefix")? else {
             return Ok(None);
         };
-        let len =
-            usize::try_from(len).map_err(|_| err(self.offset, "record length exceeds usize"))?;
-        let Some(body) = avail.get(body_start..body_start + len) else {
+        // A corrupted prefix can claim any length: checked, so it is
+        // reported at this record instead of overflowing.
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| body_start.checked_add(len))
+            .ok_or_else(|| err(self.offset, format!("record length {len} is out of range")))?;
+        let Some(body) = avail.get(body_start..end) else {
             return Ok(None);
         };
         let record = decode_body(body, self.offset, &mut self.last_at, &mut self.table)?;
-        self.consume(body_start + len);
+        self.consume(end);
         Ok(Some(record))
     }
 }
@@ -991,45 +736,34 @@ impl<R: Read> Iterator for BinaryReader<R> {
     type Item = io::Result<Record>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.decoder.next_record() {
+        let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+        while !self.done {
+            let step = match self.decoder.next_record() {
                 Ok(Some(record)) => return Some(Ok(record)),
-                Ok(None) => {
-                    if self.eof {
-                        self.done = true;
-                        if self.decoder.pending_bytes() > 0 {
-                            let e = err(
-                                self.decoder.bytes_consumed(),
-                                format!(
-                                    "stream truncated mid-record ({} dangling bytes)",
-                                    self.decoder.pending_bytes()
-                                ),
-                            );
-                            return Some(Err(io::Error::new(io::ErrorKind::InvalidData, e)));
-                        }
-                        return None;
-                    }
-                    match self.reader.read(&mut self.chunk) {
-                        Ok(0) => self.eof = true,
-                        Ok(n) => self.decoder.feed(&self.chunk[..n]),
-                        Err(e) => {
-                            if e.kind() == io::ErrorKind::Interrupted {
-                                continue;
-                            }
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                Err(e) => {
+                Ok(None) if self.eof => {
                     self.done = true;
-                    return Some(Err(io::Error::new(io::ErrorKind::InvalidData, e)));
+                    check_complete(&self.decoder).map_err(invalid)
                 }
+                Ok(None) => match self.reader.read(&mut self.chunk) {
+                    Ok(0) => {
+                        self.eof = true;
+                        Ok(())
+                    }
+                    Ok(n) => {
+                        self.decoder.feed(&self.chunk[..n]);
+                        Ok(())
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(()),
+                    Err(e) => Err(e),
+                },
+                Err(e) => Err(invalid(e)),
+            };
+            if let Err(e) = step {
+                self.done = true;
+                return Some(Err(e));
             }
         }
+        None
     }
 }
 
@@ -1047,16 +781,18 @@ pub fn replay<S: EventSink>(bytes: &[u8], sink: &mut S) -> Result<(), BinError> 
     while let Some(record) = decoder.next_record()? {
         sink.emit(record.at, &record.event);
     }
-    if decoder.pending_bytes() > 0 {
-        return Err(err(
+    check_complete(&decoder)
+}
+
+/// At the end of the input: an error when an unfinished record remains.
+fn check_complete(decoder: &StreamDecoder) -> Result<(), BinError> {
+    match decoder.pending_bytes() {
+        0 => Ok(()),
+        n => Err(err(
             decoder.bytes_consumed(),
-            format!(
-                "stream truncated mid-record ({} dangling bytes)",
-                decoder.pending_bytes()
-            ),
-        ));
+            format!("stream truncated mid-record ({n} dangling bytes)"),
+        )),
     }
-    Ok(())
 }
 
 /// Replays a binary stream from a reader into a sink, with the same
@@ -1077,154 +813,10 @@ pub fn replay_reader<R: Read, S: EventSink>(reader: R, sink: &mut S) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::sample_records as all_events;
     use crate::jsonl;
     use crate::timeline::TimelineSink;
-
-    fn all_events() -> Vec<Record> {
-        vec![
-            Record {
-                at: 0,
-                event: Event::ForecastUpdated {
-                    task: 0,
-                    si: SiId(2),
-                    probability: 0.875,
-                    expected_executions: 40.5,
-                },
-            },
-            Record {
-                at: 1,
-                event: Event::Reselect {
-                    trigger: ReselectTrigger::Forecast,
-                    duration_ns: 12_345,
-                    cache_hit: false,
-                },
-            },
-            Record {
-                at: 1,
-                event: Event::UpgradeStep {
-                    si: SiId(2),
-                    task: Some(0),
-                    step: 0,
-                    molecule: Molecule::from_counts([1, 0, 2]),
-                },
-            },
-            Record {
-                at: 1,
-                event: Event::UpgradeStep {
-                    si: SiId(2),
-                    task: None,
-                    step: 1,
-                    molecule: Molecule::from_counts([1, 1, 2]),
-                },
-            },
-            Record {
-                at: 2,
-                event: Event::ContainerEvicted {
-                    container: 4,
-                    kind: AtomKind(0),
-                },
-            },
-            Record {
-                at: 2,
-                event: Event::RotationStarted {
-                    container: 4,
-                    kind: AtomKind(1),
-                },
-            },
-            Record {
-                at: 40_000,
-                event: Event::PortStalled { until: 55_000 },
-            },
-            Record {
-                at: 90_000,
-                event: Event::RotationCompleted {
-                    container: 4,
-                    kind: AtomKind(1),
-                },
-            },
-            Record {
-                at: 90_000,
-                event: Event::ContainerLoaded {
-                    container: 4,
-                    kind: AtomKind(1),
-                },
-            },
-            Record {
-                at: 90_001,
-                event: Event::SiExecuted {
-                    task: 0,
-                    si: SiId(2),
-                    hw: true,
-                    cycles: 24,
-                    molecule: Some(Molecule::from_counts([1, 1, 0])),
-                },
-            },
-            Record {
-                at: 90_050,
-                event: Event::SiExecuted {
-                    task: 1,
-                    si: SiId(0),
-                    hw: false,
-                    cycles: 544,
-                    molecule: None,
-                },
-            },
-            Record {
-                at: 90_051,
-                event: Event::SiExecuted {
-                    task: 0,
-                    si: SiId(2),
-                    hw: true,
-                    cycles: 24,
-                    // Interned: second sighting of this Molecule.
-                    molecule: Some(Molecule::from_counts([1, 1, 0])),
-                },
-            },
-            Record {
-                at: 90_100,
-                event: Event::FcOutcome {
-                    task: 0,
-                    si: SiId(2),
-                    reached: true,
-                },
-            },
-            Record {
-                at: 90_200,
-                event: Event::ForecastRetracted {
-                    task: 0,
-                    si: SiId(2),
-                },
-            },
-            Record {
-                at: 91_000,
-                event: Event::RotationFailed {
-                    container: 3,
-                    kind: AtomKind(2),
-                },
-            },
-            Record {
-                at: 91_000,
-                event: Event::ContainerQuarantined { container: 3 },
-            },
-            Record {
-                // Out of order on purpose: deltas are signed.
-                at: 90_900,
-                event: Event::FcOutcome {
-                    task: 1,
-                    si: SiId(0),
-                    reached: false,
-                },
-            },
-            Record {
-                at: 91_001,
-                event: Event::Reselect {
-                    trigger: ReselectTrigger::Fault,
-                    duration_ns: 777,
-                    cache_hit: true,
-                },
-            },
-        ]
-    }
+    use rispp_core::si::SiId;
 
     fn encode_all(records: &[Record]) -> Vec<u8> {
         let mut sink = BinarySink::new(Vec::new());
@@ -1331,6 +923,14 @@ mod tests {
                     );
                 }
             }
+            // The reader agrees: the same prefix, then the same verdict.
+            let read: Vec<io::Result<Record>> = BinaryReader::new(&bytes[..cut]).collect();
+            let ok = read.iter().take_while(|r| r.is_ok()).count();
+            assert!(ok + 1 >= read.len(), "cut {cut}: records after an error");
+            assert_eq!(
+                read.len() > ok,
+                replay(&bytes[..cut], &mut TimelineSink::new()).is_err()
+            );
         }
     }
 
@@ -1350,7 +950,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         put_varint(&mut bytes, BIN_SCHEMA_VERSION);
-        bytes.extend_from_slice(&[4, tag::RESELECT, 0, 99, 0]);
+        bytes.extend_from_slice(&[4, 11, 0, 99, 0]); // tag 11: reselect
         let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
         assert!(e.message.contains("unknown reselect trigger 99"), "{e}");
 
@@ -1358,7 +958,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         put_varint(&mut bytes, BIN_SCHEMA_VERSION);
-        bytes.extend_from_slice(&[7, tag::SI_EXECUTED, 0, 0b10, 0, 0, 5, 3]);
+        bytes.extend_from_slice(&[7, 7, 0, 0b10, 0, 0, 5, 3]); // tag 7: si_executed
         let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
         assert!(e.message.contains("intern table"), "{e}");
 
@@ -1366,7 +966,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         put_varint(&mut bytes, BIN_SCHEMA_VERSION);
-        bytes.extend_from_slice(&[2, tag::PORT_STALLED, 0]); // missing `until`
+        bytes.extend_from_slice(&[2, 3, 0]); // tag 3: port_stalled, missing `until`
         let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
         assert!(e.message.contains("until"), "{e}");
 
@@ -1374,9 +974,28 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         put_varint(&mut bytes, BIN_SCHEMA_VERSION);
-        bytes.extend_from_slice(&[4, tag::PORT_STALLED, 0, 9, 9]);
+        bytes.extend_from_slice(&[4, 3, 0, 9, 9]); // tag 3: port_stalled
         let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
         assert!(e.message.contains("trailing bytes"), "{e}");
+    }
+
+    #[test]
+    fn huge_length_prefix_is_an_error_at_its_record() {
+        // A corrupted prefix claiming u64::MAX bytes must neither overflow
+        // nor pass for a record still arriving.
+        let mut bytes = encode_all(&all_events()[..2]);
+        let at = bytes.len() as u64;
+        put_varint(&mut bytes, u64::MAX);
+        bytes.push(0);
+        let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
+        assert_eq!(e.offset, at);
+
+        let mut d = StreamDecoder::new();
+        d.feed(&bytes);
+        assert!(d.next_record().unwrap().is_some());
+        assert!(d.next_record().unwrap().is_some());
+        assert_eq!(d.next_record().unwrap_err().offset, at);
     }
 
     #[test]

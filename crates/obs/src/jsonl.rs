@@ -5,7 +5,9 @@
 //! [`EventSink`], reconstructing — for a [`TimelineSink`] — a timeline
 //! identical to the live one. The encoding is hand-rolled (the workspace
 //! is offline, no serde) but round-trips every field exactly: integers
-//! verbatim, floats through Rust's shortest-round-trip `Display`.
+//! verbatim and parsed back as exact `u64`s, floats through Rust's
+//! shortest-round-trip `Display`. Keys and value forms come from the
+//! schema table in [`crate::event`].
 //!
 //! The export format is a contract (reports, golden files, the bench
 //! suite all consume it), so streams are versioned: the sink prefixes
@@ -22,11 +24,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
-use rispp_core::si::SiId;
 
-use crate::event::{Event, Record, ReselectTrigger};
+use crate::event::{wire, Event, Record, ReselectTrigger, WireInt};
 use crate::sink::EventSink;
 
 /// Version of the export schema this build writes (and the newest it
@@ -95,135 +95,123 @@ pub fn encode(at: u64, event: &Event) -> String {
     s
 }
 
-fn write_molecule(out: &mut String, m: &Molecule) {
-    out.push('[');
-    for (i, c) in m.as_slice().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{c}");
-    }
-    out.push(']');
-}
-
 fn encode_into(out: &mut String, at: u64, event: &Event) {
     let _ = write!(out, "{{\"at\":{at},\"ev\":");
-    match event {
-        Event::RotationStarted { container, kind } => {
-            let _ = write!(
-                out,
-                "\"rotation_started\",\"container\":{container},\"kind\":{}",
-                kind.index()
-            );
-        }
-        Event::RotationCompleted { container, kind } => {
-            let _ = write!(
-                out,
-                "\"rotation_completed\",\"container\":{container},\"kind\":{}",
-                kind.index()
-            );
-        }
-        Event::RotationFailed { container, kind } => {
-            let _ = write!(
-                out,
-                "\"rotation_failed\",\"container\":{container},\"kind\":{}",
-                kind.index()
-            );
-        }
-        Event::PortStalled { until } => {
-            let _ = write!(out, "\"port_stalled\",\"until\":{until}");
-        }
-        Event::ContainerQuarantined { container } => {
-            let _ = write!(out, "\"container_quarantined\",\"container\":{container}");
-        }
-        Event::ContainerLoaded { container, kind } => {
-            let _ = write!(
-                out,
-                "\"container_loaded\",\"container\":{container},\"kind\":{}",
-                kind.index()
-            );
-        }
-        Event::ContainerEvicted { container, kind } => {
-            let _ = write!(
-                out,
-                "\"container_evicted\",\"container\":{container},\"kind\":{}",
-                kind.index()
-            );
-        }
-        Event::SiExecuted {
-            task,
-            si,
-            hw,
-            cycles,
-            molecule,
-        } => {
-            let _ = write!(
-                out,
-                "\"si_executed\",\"task\":{task},\"si\":{},\"hw\":{hw},\"cycles\":{cycles}",
-                si.index()
-            );
-            if let Some(m) = molecule {
-                out.push_str(",\"molecule\":");
-                write_molecule(out, m);
-            }
-        }
-        Event::ForecastUpdated {
-            task,
-            si,
-            probability,
-            expected_executions,
-        } => {
-            let _ = write!(
-                out,
-                "\"forecast_updated\",\"task\":{task},\"si\":{},\"probability\":{probability},\
-                 \"expected_executions\":{expected_executions}",
-                si.index()
-            );
-        }
-        Event::ForecastRetracted { task, si } => {
-            let _ = write!(
-                out,
-                "\"forecast_retracted\",\"task\":{task},\"si\":{}",
-                si.index()
-            );
-        }
-        Event::FcOutcome { task, si, reached } => {
-            let _ = write!(
-                out,
-                "\"fc_outcome\",\"task\":{task},\"si\":{},\"reached\":{reached}",
-                si.index()
-            );
-        }
-        Event::Reselect {
-            trigger,
-            duration_ns,
-            cache_hit,
-        } => {
-            let _ = write!(
-                out,
-                "\"reselect\",\"trigger\":\"{trigger}\",\"duration_ns\":{duration_ns}"
-            );
-            // Omitted when false: pre-cache exports stay byte-identical
-            // and replay with `cache_hit = false`.
-            if *cache_hit {
-                let _ = write!(out, ",\"cache_hit\":true");
-            }
-        }
-        Event::UpgradeStep {
-            si,
-            task,
-            step,
-            molecule,
-        } => {
-            let _ = write!(out, "\"upgrade_step\",\"si\":{},", si.index());
-            if let Some(t) = task {
-                let _ = write!(out, "\"task\":{t},");
-            }
-            let _ = write!(out, "\"step\":{step},\"molecule\":");
-            write_molecule(out, molecule);
+    event.put_jsonl(out);
+    out.push('}');
+}
+
+/// The JSONL half of a [`wire`] type.
+pub(crate) trait JsonField<T> {
+    /// Appends `,"key":value`, or nothing for a value JSONL omits.
+    fn put(out: &mut String, key: &str, v: &T);
+    /// Reads the value back from a parsed object.
+    fn take(fields: &Fields<'_>, key: &str) -> Result<T, JsonlError>;
+}
+
+fn put_key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+impl<T: WireInt> JsonField<T> for wire::Int {
+    fn put(out: &mut String, key: &str, v: &T) {
+        put_key(out, key);
+        let _ = write!(out, "{}", v.to_u64());
+    }
+    fn take(fields: &Fields<'_>, key: &str) -> Result<T, JsonlError> {
+        fields.int(key)
+    }
+}
+
+impl JsonField<f64> for wire::Float {
+    fn put(out: &mut String, key: &str, v: &f64) {
+        put_key(out, key);
+        let _ = write!(out, "{v}");
+    }
+    fn take(fields: &Fields<'_>, key: &str) -> Result<f64, JsonlError> {
+        let n = match fields.get(key)? {
+            Value::Num(n) => n.parse().ok(),
+            _ => None,
+        };
+        n.ok_or_else(|| fields.error(format!("field {key:?} is not a number")))
+    }
+}
+
+impl<const OMIT_FALSE: bool> JsonField<bool> for wire::Flag<OMIT_FALSE> {
+    fn put(out: &mut String, key: &str, v: &bool) {
+        if *v || !OMIT_FALSE {
+            put_key(out, key);
+            out.push_str(if *v { "true" } else { "false" });
         }
     }
-    out.push('}');
+    fn take(fields: &Fields<'_>, key: &str) -> Result<bool, JsonlError> {
+        if OMIT_FALSE && !fields.has(key) {
+            return Ok(false);
+        }
+        match fields.get(key)? {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(fields.error(format!("field {key:?} is not a boolean"))),
+        }
+    }
+}
+
+impl JsonField<Molecule> for wire::Interned {
+    fn put(out: &mut String, key: &str, m: &Molecule) {
+        put_key(out, key);
+        out.push('[');
+        for (i, c) in m.as_slice().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{c}");
+        }
+        out.push(']');
+    }
+    fn take(fields: &Fields<'_>, key: &str) -> Result<Molecule, JsonlError> {
+        match fields.get(key)? {
+            Value::Arr(counts) => Ok(counts.iter().copied().collect()),
+            _ => Err(fields.error(format!("field {key:?} is not an array"))),
+        }
+    }
+}
+
+impl JsonField<Option<Molecule>> for wire::OptInterned {
+    fn put(out: &mut String, key: &str, v: &Option<Molecule>) {
+        if let Some(m) = v {
+            wire::Interned::put(out, key, m);
+        }
+    }
+    fn take(fields: &Fields<'_>, key: &str) -> Result<Option<Molecule>, JsonlError> {
+        fields
+            .has(key)
+            .then(|| wire::Interned::take(fields, key))
+            .transpose()
+    }
+}
+
+impl JsonField<ReselectTrigger> for wire::Trigger {
+    fn put(out: &mut String, key: &str, v: &ReselectTrigger) {
+        put_key(out, key);
+        let _ = write!(out, "\"{}\"", v.name());
+    }
+    fn take(fields: &Fields<'_>, key: &str) -> Result<ReselectTrigger, JsonlError> {
+        let name = fields.str(key)?;
+        let found = ReselectTrigger::ALL.into_iter().find(|t| t.name() == name);
+        found.ok_or_else(|| fields.error(format!("unknown reselect trigger {name:?}")))
+    }
+}
+
+impl JsonField<Option<u32>> for wire::LeadOpt {
+    fn put(out: &mut String, key: &str, v: &Option<u32>) {
+        if let Some(v) = v {
+            wire::Int::put(out, key, v);
+        }
+    }
+    fn take(fields: &Fields<'_>, key: &str) -> Result<Option<u32>, JsonlError> {
+        fields.has(key).then(|| fields.int(key)).transpose()
+    }
 }
 
 /// A malformed JSONL line.
@@ -259,12 +247,13 @@ fn err(line: usize, message: impl Into<String>) -> JsonlError {
     }
 }
 
-/// One parsed JSON scalar/array value (the subset the encoding uses).
+/// One parsed JSON value (the subset the encoding uses). Numbers stay raw
+/// text until a typed read parses them exactly as `u64` or `f64`.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Num(f64),
+enum Value<'a> {
+    Num(&'a str),
     Bool(bool),
-    Str(String),
+    Str(&'a str),
     Arr(Vec<u32>),
 }
 
@@ -299,7 +288,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonlError> {
+    fn parse_string(&mut self) -> Result<&'a str, JsonlError> {
         self.expect(b'"')?;
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
@@ -308,8 +297,7 @@ impl<'a> Parser<'a> {
             }
             if b == b'"' {
                 let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| err(self.line, "invalid utf-8 in string"))?
-                    .to_string();
+                    .map_err(|_| err(self.line, "invalid utf-8 in string"))?;
                 self.pos += 1;
                 return Ok(s);
             }
@@ -318,7 +306,8 @@ impl<'a> Parser<'a> {
         Err(err(self.line, "unterminated string"))
     }
 
-    fn parse_number(&mut self) -> Result<f64, JsonlError> {
+    /// Scans one number token: a digit run, or anything `f64` parses.
+    fn parse_number(&mut self) -> Result<&'a str, JsonlError> {
         self.skip_ws();
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
@@ -328,27 +317,26 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err(self.line, format!("malformed number at byte {start}")))
+        // The scanned bytes are ASCII, so this cannot fail.
+        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if is_digits(token) || token.parse::<f64>().is_ok() {
+            Ok(token)
+        } else {
+            Err(err(self.line, format!("malformed number at byte {start}")))
+        }
     }
 
-    fn parse_value(&mut self) -> Result<Value, JsonlError> {
+    fn parse_value(&mut self) -> Result<Value<'a>, JsonlError> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') | Some(b'f') => {
-                let (word, v): (&[u8], bool) = if self.bytes[self.pos] == b't' {
-                    (b"true", true)
-                } else {
-                    (b"false", false)
-                };
-                if self.bytes[self.pos..].starts_with(word) {
-                    self.pos += word.len();
-                    Ok(Value::Bool(v))
-                } else {
-                    Err(err(self.line, "malformed boolean"))
+            Some(b't' | b'f') => {
+                let v = self.bytes[self.pos] == b't';
+                let word = if v { "true" } else { "false" };
+                if !self.bytes[self.pos..].starts_with(word.as_bytes()) {
+                    return Err(err(self.line, "malformed boolean"));
                 }
+                self.pos += word.len();
+                Ok(Value::Bool(v))
             }
             Some(b'[') => {
                 self.expect(b'[')?;
@@ -359,10 +347,10 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     let n = self.parse_number()?;
-                    if n < 0.0 || n.fract() != 0.0 || n > f64::from(u32::MAX) {
-                        return Err(err(self.line, "array items must be u32 counts"));
-                    }
-                    items.push(n as u32);
+                    let count = is_digits(n).then(|| n.parse().ok()).flatten();
+                    items.push(
+                        count.ok_or_else(|| err(self.line, "array items must be u32 counts"))?,
+                    );
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
@@ -378,7 +366,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the flat object `{"key":value,...}` into pairs.
-    fn parse_object(&mut self) -> Result<Vec<(String, Value)>, JsonlError> {
+    fn parse_object(&mut self) -> Result<Vec<(&'a str, Value<'a>)>, JsonlError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         if self.peek() == Some(b'}') {
@@ -406,215 +394,80 @@ impl<'a> Parser<'a> {
     }
 }
 
-struct Fields {
-    pairs: Vec<(String, Value)>,
+/// `true` for a non-empty run of ASCII digits: the only integer form
+/// the decoder accepts (no sign, fraction or exponent).
+fn is_digits(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// The fields of one parsed JSONL object, with typed reads.
+pub(crate) struct Fields<'a> {
+    pairs: Vec<(&'a str, Value<'a>)>,
     line: usize,
 }
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Value, JsonlError> {
+impl<'a> Fields<'a> {
+    fn parse(line: &'a str, number: usize) -> Result<Self, JsonlError> {
+        let mut parser = Parser {
+            bytes: line.as_bytes(),
+            pos: 0,
+            line: number,
+        };
+        Ok(Fields {
+            pairs: parser.parse_object()?,
+            line: number,
+        })
+    }
+
+    /// An error on this object's line.
+    pub(crate) fn error(&self, message: impl Into<String>) -> JsonlError {
+        err(self.line, message)
+    }
+
+    fn get(&self, key: &str) -> Result<&Value<'a>, JsonlError> {
         self.pairs
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| v)
-            .ok_or_else(|| err(self.line, format!("missing field {key:?}")))
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, JsonlError> {
-        match self.get(key)? {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-            _ => Err(err(self.line, format!("field {key:?} is not a u64"))),
-        }
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, JsonlError> {
-        let v = self.u64(key)?;
-        u32::try_from(v).map_err(|_| err(self.line, format!("field {key:?} exceeds u32")))
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, JsonlError> {
-        usize::try_from(self.u64(key)?)
-            .map_err(|_| err(self.line, format!("field {key:?} exceeds usize")))
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, JsonlError> {
-        match self.get(key)? {
-            Value::Num(n) => Ok(*n),
-            _ => Err(err(self.line, format!("field {key:?} is not a number"))),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, JsonlError> {
-        match self.get(key)? {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(err(self.line, format!("field {key:?} is not a boolean"))),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, JsonlError> {
-        match self.get(key)? {
-            Value::Str(s) => Ok(s),
-            _ => Err(err(self.line, format!("field {key:?} is not a string"))),
-        }
-    }
-
-    fn molecule(&self, key: &str) -> Result<Molecule, JsonlError> {
-        match self.get(key)? {
-            Value::Arr(counts) => Ok(counts.iter().copied().collect()),
-            _ => Err(err(self.line, format!("field {key:?} is not an array"))),
-        }
+            .ok_or_else(|| self.error(format!("missing field {key:?}")))
     }
 
     fn has(&self, key: &str) -> bool {
-        self.pairs.iter().any(|(k, _)| k == key)
+        self.pairs.iter().any(|(k, _)| *k == key)
+    }
+
+    /// An integer field, parsed exactly.
+    fn int<T: WireInt>(&self, key: &str) -> Result<T, JsonlError> {
+        match self.get(key)? {
+            Value::Num(n) if is_digits(n) => n
+                .parse()
+                .ok()
+                .and_then(T::from_u64)
+                .ok_or_else(|| self.error(format!("field {key:?} is out of range"))),
+            _ => Err(self.error(format!("field {key:?} is not an unsigned integer"))),
+        }
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, JsonlError> {
+        match self.get(key)? {
+            Value::Str(s) => Ok(s),
+            _ => Err(self.error(format!("field {key:?} is not a string"))),
+        }
     }
 }
 
 fn decode_at_line(line: &str, number: usize) -> Result<Record, JsonlError> {
-    let mut parser = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-        line: number,
-    };
-    let fields = Fields {
-        pairs: parser.parse_object()?,
-        line: number,
-    };
-    let at = fields.u64("at")?;
-    let event = match fields.str("ev")? {
-        "rotation_started" => Event::RotationStarted {
-            container: fields.u32("container")?,
-            kind: AtomKind(fields.usize("kind")?),
-        },
-        "rotation_completed" => Event::RotationCompleted {
-            container: fields.u32("container")?,
-            kind: AtomKind(fields.usize("kind")?),
-        },
-        "rotation_failed" => Event::RotationFailed {
-            container: fields.u32("container")?,
-            kind: AtomKind(fields.usize("kind")?),
-        },
-        "port_stalled" => Event::PortStalled {
-            until: fields.u64("until")?,
-        },
-        "container_quarantined" => Event::ContainerQuarantined {
-            container: fields.u32("container")?,
-        },
-        "container_loaded" => Event::ContainerLoaded {
-            container: fields.u32("container")?,
-            kind: AtomKind(fields.usize("kind")?),
-        },
-        "container_evicted" => Event::ContainerEvicted {
-            container: fields.u32("container")?,
-            kind: AtomKind(fields.usize("kind")?),
-        },
-        "si_executed" => Event::SiExecuted {
-            task: fields.u32("task")?,
-            si: SiId(fields.usize("si")?),
-            hw: fields.bool("hw")?,
-            cycles: fields.u64("cycles")?,
-            molecule: if fields.has("molecule") {
-                Some(fields.molecule("molecule")?)
-            } else {
-                None
-            },
-        },
-        "forecast_updated" => Event::ForecastUpdated {
-            task: fields.u32("task")?,
-            si: SiId(fields.usize("si")?),
-            probability: fields.f64("probability")?,
-            expected_executions: fields.f64("expected_executions")?,
-        },
-        "forecast_retracted" => Event::ForecastRetracted {
-            task: fields.u32("task")?,
-            si: SiId(fields.usize("si")?),
-        },
-        "fc_outcome" => Event::FcOutcome {
-            task: fields.u32("task")?,
-            si: SiId(fields.usize("si")?),
-            reached: fields.bool("reached")?,
-        },
-        "reselect" => Event::Reselect {
-            trigger: match fields.str("trigger")? {
-                "forecast" => ReselectTrigger::Forecast,
-                "forecast_block" => ReselectTrigger::ForecastBlock,
-                "retract" => ReselectTrigger::Retract,
-                "observation" => ReselectTrigger::Observation,
-                "power_mode" => ReselectTrigger::PowerMode,
-                "fault" => ReselectTrigger::Fault,
-                other => return Err(err(number, format!("unknown reselect trigger {other:?}"))),
-            },
-            duration_ns: fields.u64("duration_ns")?,
-            cache_hit: fields.has("cache_hit") && fields.bool("cache_hit")?,
-        },
-        "upgrade_step" => Event::UpgradeStep {
-            si: SiId(fields.usize("si")?),
-            task: if fields.has("task") {
-                Some(fields.u32("task")?)
-            } else {
-                None
-            },
-            step: fields.u32("step")?,
-            molecule: fields.molecule("molecule")?,
-        },
-        other => return Err(err(number, format!("unknown event type {other:?}"))),
-    };
+    let fields = Fields::parse(line, number)?;
+    let at = fields.int("at")?;
+    let event = Event::take_jsonl(fields.str("ev")?, &fields)?;
     Ok(Record { at, event })
 }
 
-/// Recognises a `{"schema_version":N}` header line. Returns `None` for
-/// event lines and for lines that do not parse as an object (those fall
-/// through to the event decoder and its errors).
-fn header_version(line: &str, number: usize) -> Option<Result<u64, JsonlError>> {
-    let mut parser = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-        line: number,
-    };
-    let pairs = parser.parse_object().ok()?;
-    let fields = Fields {
-        pairs,
-        line: number,
-    };
-    if !fields.has("schema_version") {
-        return None;
-    }
-    Some(fields.u64("schema_version"))
-}
-
-/// Tracks the header state of one replayed stream: the header must be
-/// the first non-empty line, appear at most once, and carry a version
-/// this build understands.
-#[derive(Default)]
-struct HeaderState {
-    records_seen: bool,
-    header_seen: bool,
-}
-
-impl HeaderState {
-    /// Consumes one line. `Ok(true)` means the line was the header and
-    /// is already handled; `Ok(false)` hands it to the event decoder.
-    fn observe(&mut self, line: &str, number: usize) -> Result<bool, JsonlError> {
-        if !self.records_seen && !self.header_seen {
-            // Only the first non-empty line can be the header; it alone
-            // pays the extra parse.
-            if let Some(version) = header_version(line, number) {
-                let version = version?;
-                if version > SCHEMA_VERSION {
-                    return Err(err(
-                        number,
-                        format!(
-                            "unsupported schema_version {version} \
-                             (this build replays versions up to {SCHEMA_VERSION})"
-                        ),
-                    ));
-                }
-                self.header_seen = true;
-                return Ok(true);
-            }
-            self.records_seen = true;
-            return Ok(false);
-        }
+/// Handles the `{"schema_version":N}` header, which must be the first
+/// non-empty line and carry a version this build understands. `Ok(true)`
+/// means `line` was the header; `Ok(false)` hands it to the decoder.
+fn is_header(line: &str, number: usize, first: bool) -> Result<bool, JsonlError> {
+    if !first {
         // No event encoding contains this key, so a plain scan suffices
         // to reject stray headers without re-parsing every line.
         if line.contains("\"schema_version\"") {
@@ -623,9 +476,27 @@ impl HeaderState {
                 "schema_version header must be the first record",
             ));
         }
-        self.records_seen = true;
-        Ok(false)
+        return Ok(false);
     }
+    // Only the first line pays this extra parse. Lines that are not
+    // objects fall through to the event decoder and its errors.
+    let Some(fields) = Fields::parse(line, number)
+        .ok()
+        .filter(|f| f.has("schema_version"))
+    else {
+        return Ok(false);
+    };
+    let version: u64 = fields.int("schema_version")?;
+    if version > SCHEMA_VERSION {
+        return Err(err(
+            number,
+            format!(
+                "unsupported schema_version {version} \
+                 (this build replays versions up to {SCHEMA_VERSION})"
+            ),
+        ));
+    }
+    Ok(true)
 }
 
 /// Replays an exported JSONL stream into a sink, line by line. Empty
@@ -637,18 +508,7 @@ impl HeaderState {
 /// Returns [`JsonlError`] for the first malformed line, a misplaced or
 /// repeated header, or a schema version newer than [`SCHEMA_VERSION`].
 pub fn replay<S: EventSink>(jsonl: &str, sink: &mut S) -> Result<(), JsonlError> {
-    let mut header = HeaderState::default();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if header.observe(line, i + 1)? {
-            continue;
-        }
-        let record = decode_at_line(line, i + 1)?;
-        sink.emit(record.at, &record.event);
-    }
-    Ok(())
+    replay_lines(jsonl.lines().map(Ok), sink, |e| e)
 }
 
 /// Replays an exported JSONL stream from a reader into a sink, with the
@@ -659,20 +519,26 @@ pub fn replay<S: EventSink>(jsonl: &str, sink: &mut S) -> Result<(), JsonlError>
 /// Returns the underlying I/O error, or an [`JsonlError`] wrapped in
 /// [`io::Error`] for a malformed line or an unsupported schema version.
 pub fn replay_reader<R: io::BufRead, S: EventSink>(reader: R, sink: &mut S) -> io::Result<()> {
-    let mut header = HeaderState::default();
-    for (i, line) in reader.lines().enumerate() {
+    replay_lines(reader.lines(), sink, |e| {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    })
+}
+
+fn replay_lines<L: AsRef<str>, E, S: EventSink>(
+    lines: impl Iterator<Item = Result<L, E>>,
+    sink: &mut S,
+    wrap: impl Fn(JsonlError) -> E,
+) -> Result<(), E> {
+    let mut first = true;
+    for (i, line) in lines.enumerate() {
         let line = line?;
-        if line.trim().is_empty() {
+        let line = line.as_ref();
+        if line.trim().is_empty()
+            || is_header(line, i + 1, std::mem::take(&mut first)).map_err(&wrap)?
+        {
             continue;
         }
-        let is_header = header
-            .observe(&line, i + 1)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if is_header {
-            continue;
-        }
-        let record = decode_at_line(&line, i + 1)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let record = decode_at_line(line, i + 1).map_err(&wrap)?;
         sink.emit(record.at, &record.event);
     }
     Ok(())
@@ -681,133 +547,9 @@ pub fn replay_reader<R: io::BufRead, S: EventSink>(reader: R, sink: &mut S) -> i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::sample_records as all_events;
     use crate::timeline::TimelineSink;
-
-    fn all_events() -> Vec<Record> {
-        vec![
-            Record {
-                at: 0,
-                event: Event::ForecastUpdated {
-                    task: 0,
-                    si: SiId(2),
-                    probability: 0.875,
-                    expected_executions: 40.5,
-                },
-            },
-            Record {
-                at: 1,
-                event: Event::Reselect {
-                    trigger: ReselectTrigger::Forecast,
-                    duration_ns: 12_345,
-                    cache_hit: false,
-                },
-            },
-            Record {
-                at: 1,
-                event: Event::UpgradeStep {
-                    si: SiId(2),
-                    task: Some(0),
-                    step: 0,
-                    molecule: Molecule::from_counts([1, 0, 2]),
-                },
-            },
-            Record {
-                at: 1,
-                event: Event::UpgradeStep {
-                    si: SiId(2),
-                    task: None,
-                    step: 1,
-                    molecule: Molecule::from_counts([1, 1, 2]),
-                },
-            },
-            Record {
-                at: 2,
-                event: Event::ContainerEvicted {
-                    container: 4,
-                    kind: AtomKind(0),
-                },
-            },
-            Record {
-                at: 2,
-                event: Event::RotationStarted {
-                    container: 4,
-                    kind: AtomKind(1),
-                },
-            },
-            Record {
-                at: 40_000,
-                event: Event::PortStalled { until: 55_000 },
-            },
-            Record {
-                at: 90_000,
-                event: Event::RotationCompleted {
-                    container: 4,
-                    kind: AtomKind(1),
-                },
-            },
-            Record {
-                at: 90_000,
-                event: Event::ContainerLoaded {
-                    container: 4,
-                    kind: AtomKind(1),
-                },
-            },
-            Record {
-                at: 90_001,
-                event: Event::SiExecuted {
-                    task: 0,
-                    si: SiId(2),
-                    hw: true,
-                    cycles: 24,
-                    molecule: Some(Molecule::from_counts([1, 1, 0])),
-                },
-            },
-            Record {
-                at: 90_050,
-                event: Event::SiExecuted {
-                    task: 1,
-                    si: SiId(0),
-                    hw: false,
-                    cycles: 544,
-                    molecule: None,
-                },
-            },
-            Record {
-                at: 90_100,
-                event: Event::FcOutcome {
-                    task: 0,
-                    si: SiId(2),
-                    reached: true,
-                },
-            },
-            Record {
-                at: 90_200,
-                event: Event::ForecastRetracted {
-                    task: 0,
-                    si: SiId(2),
-                },
-            },
-            Record {
-                at: 91_000,
-                event: Event::RotationFailed {
-                    container: 3,
-                    kind: AtomKind(2),
-                },
-            },
-            Record {
-                at: 91_000,
-                event: Event::ContainerQuarantined { container: 3 },
-            },
-            Record {
-                at: 91_001,
-                event: Event::Reselect {
-                    trigger: ReselectTrigger::Fault,
-                    duration_ns: 777,
-                    cache_hit: true,
-                },
-            },
-        ]
-    }
+    use rispp_core::si::SiId;
 
     #[test]
     fn every_event_round_trips() {
@@ -932,6 +674,34 @@ mod tests {
                 }
                 other => panic!("wrong event {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn integers_are_parsed_exactly() {
+        for at in [(1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let event = Event::PortStalled { until: at - 1 };
+            let back = decode(&encode(at, &event)).unwrap();
+            assert_eq!(back, Record { at, event });
+        }
+        let retracted =
+            |at: &str| format!("{{\"at\":{at},\"ev\":\"forecast_retracted\",\"task\":0,\"si\":0}}");
+        for bad in ["1e30", "1.5e1", "15.0", "18446744073709551616", "+1", "-0"] {
+            let stream = format!("{}\n{}", retracted("1"), retracted(bad));
+            let e = replay(&stream, &mut TimelineSink::new()).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}: {e}");
+            assert!(e.message.contains("\"at\""), "{bad}: {e}");
+        }
+        // Float fields keep accepting every decimal form.
+        let line = "{\"at\":1,\"ev\":\"forecast_updated\",\"task\":0,\"si\":0,\
+                    \"probability\":1e-3,\"expected_executions\":2}";
+        match decode(line).unwrap().event {
+            Event::ForecastUpdated {
+                probability,
+                expected_executions,
+                ..
+            } => assert_eq!((probability, expected_executions), (0.001, 2.0)),
+            other => panic!("wrong event {other:?}"),
         }
     }
 

@@ -20,6 +20,10 @@
 //!   writes (an order of magnitude cheaper per event); [`bin::replay`] /
 //!   [`BinaryReader`] / [`StreamDecoder`] decode complete streams and
 //!   live tails back into identical events.
+//!
+//!   Both codecs derive from one schema: the table in [`event`] declares
+//!   every variant's fields, binary tag and JSONL name once, and adding a
+//!   variant touches no codec code.
 //! * [`SpanBuilder`] — derived causality spans: stitches
 //!   `ForecastUpdated → Reselect → rotations → first hardware execution`
 //!   into per-`(task, si)` time-to-hardware stories (Fig. 6 as data).

@@ -3,14 +3,21 @@
 //! any order — encodes through [`BinarySink`] and decodes back to the
 //! identical `Vec<Event>` (and timestamps), both via the one-shot
 //! [`bin::replay`] and via the incremental [`StreamDecoder`] fed in
-//! arbitrary chunk sizes.
+//! arbitrary chunk sizes. The JSONL codec must decode every sequence to
+//! the same records, integers above 2^53 included.
+//!
+//! Corrupted input — bit flips, spliced byte ranges, duplicated records
+//! — must never panic either decoder: every failure is an error whose
+//! offset (binary) or line (JSONL) lies within the input.
 
 use proptest::prelude::*;
 use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
 use rispp_core::si::SiId;
 use rispp_obs::bin::{self, StreamDecoder};
-use rispp_obs::{BinarySink, Event, EventSink, Record, ReselectTrigger, TimelineSink};
+use rispp_obs::{
+    jsonl, BinarySink, Event, EventSink, JsonlSink, Record, ReselectTrigger, TimelineSink,
+};
 
 fn molecule_strategy() -> impl Strategy<Value = Molecule> {
     proptest::collection::vec(0u32..4, 1..5).prop_map(Molecule::from_counts)
@@ -129,6 +136,85 @@ fn encode(records: &[Record]) -> Vec<u8> {
     sink.into_inner()
 }
 
+fn encode_jsonl(records: &[Record]) -> String {
+    let mut sink = JsonlSink::new(Vec::new());
+    for r in records {
+        sink.emit(r.at, &r.event);
+    }
+    String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8")
+}
+
+/// One byte-level corruption. Positions are taken modulo the current
+/// input length when applied.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// Flip one bit.
+    Flip { at: usize, bit: u8 },
+    /// Copy `len` bytes from `from` and insert them at `at`.
+    Splice { at: usize, from: usize, len: usize },
+    /// Delete `len` bytes at `at`.
+    Delete { at: usize, len: usize },
+    /// Insert the varint of `u64::MAX`: at a record boundary it is a
+    /// length prefix no buffer can satisfy.
+    HugeVarint { at: usize },
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Edit::Flip { at, bit }),
+        (any::<usize>(), any::<usize>(), 1usize..24).prop_map(|(at, from, len)| Edit::Splice {
+            at,
+            from,
+            len
+        }),
+        (any::<usize>(), 1usize..8).prop_map(|(at, len)| Edit::Delete { at, len }),
+        any::<usize>().prop_map(|at| Edit::HugeVarint { at }),
+    ]
+}
+
+fn apply(bytes: &mut Vec<u8>, edit: &Edit) {
+    if bytes.is_empty() {
+        return;
+    }
+    let n = bytes.len();
+    match *edit {
+        Edit::Flip { at, bit } => bytes[at % n] ^= 1 << bit,
+        Edit::Splice { at, from, len } => {
+            let from = from % n;
+            let piece = bytes[from..(from + len).min(n)].to_vec();
+            let at = at % (n + 1);
+            bytes.splice(at..at, piece);
+        }
+        Edit::Delete { at, len } => {
+            let at = at % n;
+            bytes.drain(at..(at + len).min(n));
+        }
+        Edit::HugeVarint { at } => {
+            let at = at % (n + 1);
+            let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+            bytes.splice(at..at, huge);
+        }
+    }
+}
+
+/// The byte offset where each record of `records` starts in its binary
+/// encoding, plus the stream length.
+fn record_bounds(records: &[Record]) -> Vec<usize> {
+    (0..=records.len())
+        .map(|k| encode(&records[..k]).len().max(5))
+        .collect()
+}
+
+/// A sink that only counts, so corrupted streams are decoded for their
+/// errors alone.
+struct Count(usize);
+
+impl EventSink for Count {
+    fn emit(&mut self, _: u64, _: &Event) {
+        self.0 += 1;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -138,6 +224,68 @@ proptest! {
         let mut out = TimelineSink::new();
         bin::replay(&bytes, &mut out).expect("own encoding replays");
         prop_assert_eq!(out.timeline().entries(), records.as_slice());
+
+        // Both codecs decode the sequence to the same records.
+        let text = encode_jsonl(&records);
+        let mut from_jsonl = TimelineSink::new();
+        jsonl::replay(&text, &mut from_jsonl).expect("own JSONL export replays");
+        prop_assert_eq!(from_jsonl.timeline().entries(), out.timeline().entries());
+    }
+
+    #[test]
+    fn corrupted_streams_fail_cleanly(
+        records in records_strategy(),
+        duplicate in any::<usize>(),
+        edits in proptest::collection::vec(edit_strategy(), 1..4),
+        chunk in 1usize..17,
+    ) {
+        // Binary: duplicate one whole record, then corrupt the bytes.
+        let mut bytes = encode(&records);
+        if !records.is_empty() {
+            let bounds = record_bounds(&records);
+            let k = duplicate % records.len();
+            let copy = bytes[bounds[k]..bounds[k + 1]].to_vec();
+            bytes.splice(bounds[k + 1]..bounds[k + 1], copy);
+        }
+        for edit in &edits {
+            apply(&mut bytes, edit);
+        }
+        let len = bytes.len() as u64;
+        if let Err(e) = bin::replay(&bytes, &mut Count(0)) {
+            prop_assert!(e.offset <= len, "offset {} past {} bytes: {}", e.offset, len, e);
+        }
+        let mut decoder = StreamDecoder::new();
+        'feed: for piece in bytes.chunks(chunk) {
+            decoder.feed(piece);
+            loop {
+                match decoder.next_record() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(e) => {
+                        prop_assert!(e.offset <= len, "offset {} past {} bytes: {}", e.offset, len, e);
+                        break 'feed;
+                    }
+                }
+            }
+        }
+        prop_assert!(decoder.bytes_consumed() <= len);
+
+        // JSONL: duplicate one line, then corrupt the text.
+        let text = encode_jsonl(&records);
+        let mut lines: Vec<&str> = text.lines().collect();
+        if lines.len() > 1 {
+            let k = 1 + duplicate % (lines.len() - 1);
+            lines.insert(k, lines[k]);
+        }
+        let mut raw = lines.join("\n").into_bytes();
+        for edit in &edits {
+            apply(&mut raw, edit);
+        }
+        let text = String::from_utf8_lossy(&raw);
+        if let Err(e) = jsonl::replay(&text, &mut Count(0)) {
+            let n = text.lines().count();
+            prop_assert!(e.line >= 1 && e.line <= n, "line {} of {}: {}", e.line, n, e);
+        }
     }
 
     #[test]
